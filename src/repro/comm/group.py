@@ -20,6 +20,7 @@ import numpy as np
 from repro.comm.fabric import Fabric, FabricAbortedError
 from repro.comm.faults import RankKilledError, TransientCollectiveFault
 from repro.comm.ledger import CommLedger
+from repro.tensor.halfcast import to_dtype
 
 
 def _reduce_arrays(arrays: Sequence[np.ndarray], op: str) -> np.ndarray:
@@ -32,24 +33,24 @@ def _reduce_arrays(arrays: Sequence[np.ndarray], op: str) -> np.ndarray:
     first = arrays[0]
     acc_dtype = np.float32 if first.dtype == np.float16 else first.dtype
     if op == "sum" or op == "avg":
-        out = arrays[0].astype(acc_dtype, copy=True)
+        out = to_dtype(arrays[0], acc_dtype)
         with np.errstate(over="ignore"):  # inf-laden overflow steps saturate
             for a in arrays[1:]:
-                out += a.astype(acc_dtype, copy=False)
+                out += to_dtype(a, acc_dtype, copy=False)
             if op == "avg":
                 out /= len(arrays)
     elif op == "max":
-        out = arrays[0].astype(acc_dtype, copy=True)
+        out = to_dtype(arrays[0], acc_dtype)
         for a in arrays[1:]:
-            np.maximum(out, a.astype(acc_dtype, copy=False), out=out)
+            np.maximum(out, to_dtype(a, acc_dtype, copy=False), out=out)
     elif op == "min":
-        out = arrays[0].astype(acc_dtype, copy=True)
+        out = to_dtype(arrays[0], acc_dtype)
         for a in arrays[1:]:
-            np.minimum(out, a.astype(acc_dtype, copy=False), out=out)
+            np.minimum(out, to_dtype(a, acc_dtype, copy=False), out=out)
     else:
         raise ValueError(f"unsupported reduction op {op!r}")
-    with np.errstate(over="ignore"):  # fp16 saturates to inf, as NCCL does
-        return out.astype(first.dtype, copy=False)
+    # fp16 saturates to inf, as NCCL does.
+    return to_dtype(out, first.dtype, copy=False)
 
 
 class ProcessGroup:

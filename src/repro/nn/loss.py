@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.nn.module import Cache
 from repro.tensor import functional as F
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -77,7 +78,7 @@ class VocabParallelCausalLMLoss:
             cache.ref(targets=None)
             return loss, cache
         ct = np.promote_types(logits.dtype, np.float32)
-        flat = logits.data.reshape(n, v_local).astype(ct)
+        flat = to_dtype(logits.data.reshape(n, v_local), ct)
         tgt = targets.data.reshape(n)
         vocab_lo = self.idx * v_local
         local_max = flat.max(axis=-1)
@@ -116,6 +117,6 @@ class VocabParallelCausalLMLoss:
         rows = np.nonzero(mine)[0]
         grad[rows, tgt[rows] - vocab_lo] -= 1.0
         grad *= loss_scale / n
-        d = Tensor((n, v_local), np.dtype(dtype), data=grad.astype(dtype),
+        d = Tensor((n, v_local), np.dtype(dtype), data=to_dtype(grad, dtype),
                    device=probs.device, tag="loss.dlogits")
         return d.reshaped_inplace(cache["logits_shape"])

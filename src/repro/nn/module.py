@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.memprof.provenance import category as memprof_category
 from repro.memsim.device import Device
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -79,7 +80,7 @@ class Parameter:
                     self.grad = Tensor(
                         g.shape,
                         self.grad_dtype,
-                        data=None if g.is_meta else g.data.astype(self.grad_dtype),
+                        data=None if g.is_meta else to_dtype(g.data, self.grad_dtype),
                         device=g.device,
                         tag=f"{self.name}.grad",
                     )
@@ -96,8 +97,8 @@ class Parameter:
                 self.grad_ready_hook(self)
             return
         if not self.grad.is_meta and not g.is_meta:
-            acc = self.grad.data.astype(np.float32) + g.data.astype(np.float32)
-            self.grad.data = acc.astype(self.grad_dtype)
+            acc = to_dtype(self.grad.data, np.float32) + to_dtype(g.data, np.float32)
+            self.grad.data = to_dtype(acc, self.grad_dtype)
         g.free()
 
     def zero_grad(self) -> None:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.tensor.halfcast import to_dtype
+
 
 @dataclass(frozen=True)
 class AdamHyperparams:
@@ -47,7 +49,7 @@ def adam_step_inplace(
             f"shape mismatch: master {master.shape}, m {m.shape}, "
             f"v {v.shape}, grad {grad.shape}"
         )
-    g32 = grad.astype(np.float32, copy=False)
+    g32 = to_dtype(grad, np.float32, copy=False)
     # In-place exponential moving averages (guides: prefer in-place numpy ops).
     m *= hp.beta1
     m += (1.0 - hp.beta1) * g32
@@ -85,7 +87,7 @@ class Adam:
         for p in self.parameters:
             if p.data.is_meta:
                 raise ValueError(f"Adam (eager) cannot optimize meta parameter {p.name}")
-            master = p.data.data.astype(np.float32)
+            master = to_dtype(p.data.data, np.float32)
             self._state[p.name] = (
                 master,
                 np.zeros_like(master),
@@ -106,7 +108,7 @@ class Adam:
                 self.step_count,
                 self.hp,
             )
-            p.data.data = master.astype(p.data.dtype)
+            p.data.data = to_dtype(master, p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -124,9 +126,11 @@ class SGD:
         for p in self.parameters:
             if p.grad is None or p.data.is_meta:
                 continue
-            p.data.data = (
-                p.data.data.astype(np.float32) - self.lr * p.grad.data.astype(np.float32)
-            ).astype(p.data.dtype)
+            p.data.data = to_dtype(
+                to_dtype(p.data.data, np.float32)
+                - self.lr * to_dtype(p.grad.data, np.float32),
+                p.data.dtype,
+            )
 
     def zero_grad(self) -> None:
         for p in self.parameters:

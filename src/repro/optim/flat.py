@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.module import Parameter
+from repro.tensor.halfcast import to_dtype
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class FlatLayout:
         """Concatenate parameter values into a flat vector (padded with zeros)."""
         flat = np.zeros(self.numel, dtype=dtype)
         for p, s in zip(self.parameters, self.slots):
-            flat[s.offset : s.end] = p.data.numpy().reshape(-1).astype(dtype)
+            flat[s.offset : s.end] = to_dtype(p.data.numpy().reshape(-1), dtype)
         return flat
 
     def gather_grads(self, dtype=np.float32, *, missing_ok: bool = False) -> np.ndarray:
@@ -87,7 +88,7 @@ class FlatLayout:
                 if not missing_ok:
                     raise ValueError(f"parameter {p.name} has no gradient")
                 continue
-            flat[s.offset : s.end] = p.grad.numpy().reshape(-1).astype(dtype)
+            flat[s.offset : s.end] = to_dtype(p.grad.numpy().reshape(-1), dtype)
         return flat
 
     def scatter_params(self, flat: np.ndarray) -> None:
@@ -95,7 +96,7 @@ class FlatLayout:
         if flat.shape != (self.numel,):
             raise ValueError(f"flat vector shape {flat.shape} != ({self.numel},)")
         for p, s in zip(self.parameters, self.slots):
-            p.data.data = flat[s.offset : s.end].astype(p.data.dtype).reshape(s.shape)
+            p.data.data = to_dtype(flat[s.offset : s.end], p.data.dtype).reshape(s.shape)
 
     def scatter_param_range(self, flat_piece: np.ndarray, lo: int, hi: int) -> None:
         """Write values for the flat range [lo, hi) into overlapping params."""
@@ -106,8 +107,8 @@ class FlatLayout:
             if a >= b:
                 continue
             target = p.data.numpy().reshape(-1)
-            target[a - s.offset : b - s.offset] = flat_piece[a - lo : b - lo].astype(
-                p.data.dtype
+            target[a - s.offset : b - s.offset] = to_dtype(
+                flat_piece[a - lo : b - lo], p.data.dtype
             )
 
     def gather_param_range(self, lo: int, hi: int, dtype=np.float32) -> np.ndarray:
@@ -118,7 +119,7 @@ class FlatLayout:
             if a >= b:
                 continue
             src = p.data.numpy().reshape(-1)
-            piece[a - lo : b - lo] = src[a - s.offset : b - s.offset].astype(dtype)
+            piece[a - lo : b - lo] = to_dtype(src[a - s.offset : b - s.offset], dtype)
         return piece
 
     def gather_grad_range(
@@ -135,7 +136,7 @@ class FlatLayout:
                     raise ValueError(f"parameter {p.name} has no gradient")
                 continue
             src = p.grad.numpy().reshape(-1)
-            piece[a - lo : b - lo] = src[a - s.offset : b - s.offset].astype(dtype)
+            piece[a - lo : b - lo] = to_dtype(src[a - s.offset : b - s.offset], dtype)
         return piece
 
     def scatter_grad_range(self, flat_piece: np.ndarray, lo: int, hi: int) -> None:
@@ -147,8 +148,8 @@ class FlatLayout:
             if a >= b or p.grad is None:
                 continue
             target = p.grad.numpy().reshape(-1)
-            target[a - s.offset : b - s.offset] = flat_piece[a - lo : b - lo].astype(
-                p.grad.dtype
+            target[a - s.offset : b - s.offset] = to_dtype(
+                flat_piece[a - lo : b - lo], p.grad.dtype
             )
 
     def slots_in_range(self, lo: int, hi: int) -> list[ParamSlot]:

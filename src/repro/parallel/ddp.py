@@ -21,6 +21,7 @@ from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
 from repro.parallel.engine import BaseEngine, EngineConfig
 from repro.runtime import RankContext
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -162,7 +163,7 @@ class DDPEngine(BaseEngine):
             # engines do before their parameter all-gather, keeping the
             # equivalence bitwise.
             self.layout.scatter_param_range(
-                self.opt_state.master.data[lo:hi].astype(self.model.dtype), lo, hi
+                to_dtype(self.opt_state.master.data[lo:hi], self.model.dtype), lo, hi
             )
 
         self.with_fused_buffer(numel, update)

@@ -31,6 +31,7 @@ from repro.optim.adam import AdamHyperparams, adam_step_inplace
 from repro.optim.flat import FlatLayout
 from repro.optim.mixed_precision import FlatAdamState
 from repro.runtime import RankContext
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -161,7 +162,7 @@ class GPipeEngine:
                     )
                 else:
                     h = self.group.recv(self.ctx.rank, src=prev, tag=("act", m), phase="pp-act")
-                    x = Tensor.from_numpy(h.astype(self.dtype), device=self.ctx.device, tag="pp-act")
+                    x = Tensor.from_numpy(to_dtype(h, self.dtype), device=self.ctx.device, tag="pp-act")
             inputs.append(x)
             unit_caches = []
             micro_mids = []
@@ -202,7 +203,7 @@ class GPipeEngine:
                 _, h_out = loss_caches[m]
                 g = self.group.recv(self.ctx.rank, src=nxt, tag=("grad", m), phase="pp-grad")
                 with memprof_category("activation", site="pp-boundary"):
-                    dh = Tensor.from_numpy(g.astype(self.dtype), device=self.ctx.device, tag="pp-grad")
+                    dh = Tensor.from_numpy(to_dtype(g, self.dtype), device=self.ctx.device, tag="pp-grad")
             for unit, cache in reversed(caches[m]):
                 dprev = unit.backward(cache, dh)
                 cache.free()
@@ -237,7 +238,7 @@ class GPipeEngine:
     def _optimizer_step(self) -> None:
         grad32 = self.layout.gather_grads(np.float32, missing_ok=True)
         master = self.opt_state.step(grad32)
-        self.layout.scatter_params(master.astype(self.dtype))
+        self.layout.scatter_params(to_dtype(master, self.dtype))
 
     # -- accounting ------------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from repro.comm.ledger import CommLedger
 from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.hardware.topology import ClusterTopology
 from repro.memsim.device import Device, HostMemory
+from repro.utils.blas import blas_threads_per_rank
 
 
 @dataclass
@@ -241,10 +242,12 @@ class Cluster:
             threading.Thread(target=worker, args=(r,), name=f"rank-{r}", daemon=True)
             for r in range(self.world_size)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # One BLAS pool per simulated GPU: the rank threads share the cores.
+        with blas_threads_per_rank(self.world_size):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         # Prefer the root cause: a rank's own failure outranks the
         # FabricAbortedError its peers raised when the fabric was torn down.
         # Among aborts, one chained to a cause (e.g. a collective whose

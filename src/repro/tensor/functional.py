@@ -6,7 +6,11 @@ lives in exactly one place. Results inherit the first operand's device.
 
 Precision convention: half-precision matmuls accumulate in float32 and cast
 the result back to float16, matching tensor-core semantics (and keeping the
-ZeRO == DDP equivalence tests meaningful at fp16).
+ZeRO == DDP equivalence tests meaningful at fp16). fp16 ``add``/``mul`` also
+run in float32; that is bitwise numpy's float16 arithmetic (see ``_binary``).
+Every float16 <-> float32 conversion goes through ``halfcast.to_dtype``:
+bitwise ``astype``, without the per-element slow path ``astype`` takes on
+fp16-subnormal values, which unscaled fp16 gradients are full of.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 
 import numpy as np
 
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -74,7 +79,7 @@ def transpose(x: Tensor, axes: tuple[int, ...], tag: str = "transpose") -> Tenso
 
 def cast(x: Tensor, dtype, tag: str = "cast") -> Tensor:
     dtype = np.dtype(dtype)
-    data = None if x.is_meta else x.data.astype(dtype)
+    data = None if x.is_meta else to_dtype(x.data, dtype)
     return _result(x, data, x.shape, dtype, tag)
 
 
@@ -128,27 +133,37 @@ def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
     if _any_meta(a, b):
         return _result(a, None, shape, out_dtype, tag)
     if a.dtype == np.float16 or b.dtype == np.float16:
-        acc = a.data.astype(np.float32) @ b.data.astype(np.float32)
-        with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
-            return _result(a, acc.astype(out_dtype), shape, out_dtype, tag)
+        acc = to_dtype(a.data, np.float32) @ to_dtype(b.data, np.float32)
+        # fp16 saturates to inf, as hardware does.
+        return _result(a, to_dtype(acc, out_dtype), shape, out_dtype, tag)
     return _result(a, a.data @ b.data, shape, out_dtype, tag)
 
 
 # -- elementwise --------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor, tag: str = "add") -> Tensor:
+def _binary(op, a: Tensor, b: Tensor, tag: str) -> Tensor:
     shape = tuple(np.broadcast_shapes(a.shape, b.shape))
     dtype = np.result_type(a.dtype, b.dtype)
-    data = None if _any_meta(a, b) else (a.data + b.data).astype(dtype, copy=False)
+    if _any_meta(a, b):
+        data = None
+    elif a.dtype == b.dtype == np.float16:
+        # Bitwise numpy's float16 loop, which also rounds the float32 result:
+        # an fp16 product is exact in fp32, and fp32's 24 bits >= 2*11 + 2
+        # make the double rounding of a sum harmless (Figueroa). Operands
+        # go in swapped, so NaN op NaN keeps the payload numpy's loop keeps.
+        data = to_dtype(op(to_dtype(b.data, np.float32), to_dtype(a.data, np.float32)), dtype)
+    else:
+        data = op(a.data, b.data).astype(dtype, copy=False)
     return _result(a, data, shape, dtype, tag)
+
+
+def add(a: Tensor, b: Tensor, tag: str = "add") -> Tensor:
+    return _binary(np.add, a, b, tag)
 
 
 def mul(a: Tensor, b: Tensor, tag: str = "mul") -> Tensor:
-    shape = tuple(np.broadcast_shapes(a.shape, b.shape))
-    dtype = np.result_type(a.dtype, b.dtype)
-    data = None if _any_meta(a, b) else (a.data * b.data).astype(dtype, copy=False)
-    return _result(a, data, shape, dtype, tag)
+    return _binary(np.multiply, a, b, tag)
 
 
 def scale(x: Tensor, factor: float, tag: str = "scale") -> Tensor:
@@ -159,7 +174,7 @@ def scale(x: Tensor, factor: float, tag: str = "scale") -> Tensor:
         return _result(x, None, x.shape, x.dtype, tag)
     ct = _compute_dtype(x.dtype)
     with np.errstate(over="ignore"):  # loss-scale overflow saturates to inf
-        data = (x.data.astype(ct) * ct.type(factor)).astype(x.dtype)
+        data = to_dtype(to_dtype(x.data, ct) * ct.type(factor), x.dtype)
     return _result(x, data, x.shape, x.dtype, tag)
 
 
@@ -172,7 +187,7 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
     shape = tuple(int(s) for s in shape)
     if x.is_meta:
         return _result(x, None, shape, x.dtype, tag)
-    data = x.data.astype(_compute_dtype(x.dtype), copy=False)
+    data = to_dtype(x.data, _compute_dtype(x.dtype), copy=False)
     # Sum away leading dims, then broadcasted (size-1) dims.
     while data.ndim > len(shape):
         data = data.sum(axis=0)
@@ -181,8 +196,8 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
             data = data.sum(axis=axis, keepdims=True)
     if data.shape != shape:
         raise ValueError(f"cannot sum {x.shape} to {shape}")
-    with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
-        return _result(x, data.astype(x.dtype, copy=False), shape, x.dtype, tag)
+    # fp16 saturates to inf, as hardware does.
+    return _result(x, to_dtype(data, x.dtype, copy=False), shape, x.dtype, tag)
 
 
 # -- GELU (tanh approximation, as in GPT-2) -----------------------------------
@@ -191,9 +206,9 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
 def gelu(x: Tensor, tag: str = "gelu") -> Tensor:
     if x.is_meta:
         return _result(x, None, x.shape, x.dtype, tag)
-    x32 = x.data.astype(_compute_dtype(x.dtype))
+    x32 = to_dtype(x.data, _compute_dtype(x.dtype))
     inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
-    data = (0.5 * x32 * (1.0 + np.tanh(inner))).astype(x.dtype)
+    data = to_dtype(0.5 * x32 * (1.0 + np.tanh(inner)), x.dtype)
     return _result(x, data, x.shape, x.dtype, tag)
 
 
@@ -201,13 +216,13 @@ def gelu_grad(x: Tensor, dy: Tensor, tag: str = "gelu_grad") -> Tensor:
     if _any_meta(x, dy):
         return _result(x, None, x.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
-    x32 = x.data.astype(ct)
+    x32 = to_dtype(x.data, ct)
     inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
     tanh_inner = np.tanh(inner)
     sech2 = 1.0 - tanh_inner**2
     dinner = SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x32**2)
     grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x32 * sech2 * dinner
-    data = (dy.data.astype(ct) * grad).astype(dy.dtype)
+    data = to_dtype(to_dtype(dy.data, ct) * grad, dy.dtype)
     return _result(x, data, x.shape, dy.dtype, tag)
 
 
@@ -218,10 +233,10 @@ def softmax(x: Tensor, tag: str = "softmax") -> Tensor:
     """Numerically stable softmax over the last axis, computed in fp32."""
     if x.is_meta:
         return _result(x, None, x.shape, x.dtype, tag)
-    x32 = x.data.astype(_compute_dtype(x.dtype))
+    x32 = to_dtype(x.data, _compute_dtype(x.dtype))
     x32 = x32 - x32.max(axis=-1, keepdims=True)
     e = np.exp(x32)
-    data = (e / e.sum(axis=-1, keepdims=True)).astype(x.dtype)
+    data = to_dtype(e / e.sum(axis=-1, keepdims=True), x.dtype)
     return _result(x, data, x.shape, x.dtype, tag)
 
 
@@ -230,10 +245,10 @@ def softmax_grad(y: Tensor, dy: Tensor, tag: str = "softmax_grad") -> Tensor:
     if _any_meta(y, dy):
         return _result(y, None, y.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(y.dtype, dy.dtype))
-    y32 = y.data.astype(ct)
-    dy32 = dy.data.astype(ct)
+    y32 = to_dtype(y.data, ct)
+    dy32 = to_dtype(dy.data, ct)
     dot = (dy32 * y32).sum(axis=-1, keepdims=True)
-    data = (y32 * (dy32 - dot)).astype(dy.dtype)
+    data = to_dtype(y32 * (dy32 - dot), dy.dtype)
     return _result(y, data, y.shape, dy.dtype, tag)
 
 
@@ -285,13 +300,13 @@ def layernorm(
         rstd = _result(x, None, stat_shape, _compute_dtype(x.dtype), tag + ".rstd")
         return y, mean, rstd
     ct = _compute_dtype(x.dtype)
-    x32 = x.data.astype(ct)
+    x32 = to_dtype(x.data, ct)
     mean32 = x32.mean(axis=-1, keepdims=True)
     var32 = x32.var(axis=-1, keepdims=True)
     rstd32 = 1.0 / np.sqrt(var32 + eps)
     xhat = (x32 - mean32) * rstd32
-    y32 = xhat * gamma.data.astype(ct) + beta.data.astype(ct)
-    y = _result(x, y32.astype(x.dtype), x.shape, x.dtype, tag)
+    y32 = xhat * to_dtype(gamma.data, ct) + to_dtype(beta.data, ct)
+    y = _result(x, to_dtype(y32, x.dtype), x.shape, x.dtype, tag)
     mean = _result(x, mean32, stat_shape, ct, tag + ".mean")
     rstd = _result(x, rstd32, stat_shape, ct, tag + ".rstd")
     return y, mean, rstd
@@ -314,10 +329,10 @@ def layernorm_grad(
         return dx, dgamma, dbeta
     n = x.shape[-1]
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
-    x32 = x.data.astype(ct)
-    dy32 = dy.data.astype(ct)
+    x32 = to_dtype(x.data, ct)
+    dy32 = to_dtype(dy.data, ct)
     xhat = (x32 - mean.data) * rstd.data
-    g32 = gamma.data.astype(ct)
+    g32 = to_dtype(gamma.data, ct)
     dgamma32 = (dy32 * xhat).reshape(-1, n).sum(axis=0)
     dbeta32 = dy32.reshape(-1, n).sum(axis=0)
     dxhat = dy32 * g32
@@ -326,7 +341,7 @@ def layernorm_grad(
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    dx = _result(x, dx32.astype(dy.dtype), x.shape, dy.dtype, tag + ".dx")
+    dx = _result(x, to_dtype(dx32, dy.dtype), x.shape, dy.dtype, tag + ".dx")
     dgamma = _result(x, dgamma32, feat_shape, np.float32, tag + ".dgamma")
     dbeta = _result(x, dbeta32, feat_shape, np.float32, tag + ".dbeta")
     return dx, dgamma, dbeta
@@ -352,7 +367,7 @@ def embedding_grad(table: Tensor, ids: Tensor, dy: Tensor, tag: str = "embed_gra
     if _any_meta(table, ids, dy):
         return _result(table, None, table.shape, np.float32, tag)
     grad = np.zeros(table.shape, dtype=np.float32)
-    np.add.at(grad, ids.data.reshape(-1), dy.data.reshape(-1, dy.shape[-1]).astype(np.float32))
+    np.add.at(grad, ids.data.reshape(-1), to_dtype(dy.data.reshape(-1, dy.shape[-1]), np.float32))
     return _result(table, grad, table.shape, np.float32, tag)
 
 
@@ -371,7 +386,7 @@ def cross_entropy(logits: Tensor, targets: Tensor, tag: str = "xent") -> tuple[T
         probs = _result(logits, None, (n, v), ct, tag + ".probs")
         return loss, probs
     ct = _compute_dtype(logits.dtype)
-    x32 = logits.data.astype(ct)
+    x32 = to_dtype(logits.data, ct)
     x32 = x32 - x32.max(axis=-1, keepdims=True)
     e = np.exp(x32)
     probs32 = e / e.sum(axis=-1, keepdims=True)
@@ -390,7 +405,7 @@ def cross_entropy_grad(probs: Tensor, targets: Tensor, dtype=np.float16, tag: st
     grad = probs.data.copy()
     grad[np.arange(n), targets.data] -= 1.0
     grad /= n
-    return _result(probs, grad.astype(dtype), (n, v), np.dtype(dtype), tag)
+    return _result(probs, to_dtype(grad, dtype), (n, v), np.dtype(dtype), tag)
 
 
 # -- dropout ----------------------------------------------------------------------
@@ -410,7 +425,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, tag: str = "dr
     if rng is None:
         raise ValueError("dropout with p > 0 needs an rng in real mode")
     keep = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    y = _result(x, (x.data.astype(np.float32) * keep).astype(x.dtype), x.shape, x.dtype, tag)
+    y = _result(x, to_dtype(to_dtype(x.data, np.float32) * keep, x.dtype), x.shape, x.dtype, tag)
     mask = _result(x, keep, x.shape, np.float32, tag + ".mask")
     return y, mask
 
@@ -420,5 +435,5 @@ def dropout_grad(dy: Tensor, mask: Tensor | None, tag: str = "dropout_grad") -> 
         return _result(dy, None if dy.is_meta else dy.data.copy(), dy.shape, dy.dtype, tag)
     if _any_meta(dy, mask):
         return _result(dy, None, dy.shape, dy.dtype, tag)
-    data = (dy.data.astype(np.float32) * mask.data).astype(dy.dtype)
+    data = to_dtype(to_dtype(dy.data, np.float32) * mask.data, dy.dtype)
     return _result(dy, data, dy.shape, dy.dtype, tag)

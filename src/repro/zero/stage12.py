@@ -36,6 +36,7 @@ from repro.optim.scaler import LossScaler
 from repro.parallel.ddp import GradBucketQueue
 from repro.parallel.engine import BaseEngine, EngineConfig
 from repro.runtime import RankContext
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -171,11 +172,10 @@ class _ZeroDPBase(BaseEngine):
                         # zeroed after each optimizer step, so with a
                         # single micro-batch this is a plain write.
                         view = self.grad_shard.data[lo - self.part_lo : hi - self.part_lo]
-                        acc = view.astype(np.float32) + reduced[
-                            cursor : cursor + hi - lo
-                        ].astype(np.float32)
-                        with np.errstate(over="ignore"):  # saturate like hardware
-                            view[:] = acc.astype(view.dtype)
+                        acc = to_dtype(view, np.float32) + to_dtype(
+                            reduced[cursor : cursor + hi - lo], np.float32
+                        )
+                        view[:] = to_dtype(acc, view.dtype)  # saturates like hardware
                     else:
                         self.layout.scatter_grad_range(
                             reduced[cursor : cursor + hi - lo], lo, hi
@@ -237,7 +237,7 @@ class _ZeroDPBase(BaseEngine):
             self._all_gather_params(None)
             return True
         if self.grad_shard is not None:
-            grad32 = self.grad_shard.numpy().astype(np.float32)
+            grad32 = to_dtype(self.grad_shard.numpy(), np.float32)
         else:
             grad32 = self.layout.gather_grad_range(
                 self.part_lo, self.part_hi, np.float32, missing_ok=True
@@ -247,8 +247,8 @@ class _ZeroDPBase(BaseEngine):
         if not self.scaler.update(overflow):
             # Other ranks reached the same decision; skip in lockstep but
             # still run the (no-op) all-gather so the SPMD schedules match.
-            self._all_gather_params(self.layout.gather_param_range(
-                self.part_lo, self.part_hi, np.float32).astype(self.model.dtype))
+            self._all_gather_params(to_dtype(self.layout.gather_param_range(
+                self.part_lo, self.part_hi, np.float32), self.model.dtype))
             return False
         grad64 = grad32.astype(np.float64)
         clip_factor = self._clip_factor(float(np.dot(grad64, grad64)), partitioned=True)
@@ -260,7 +260,7 @@ class _ZeroDPBase(BaseEngine):
         # the update lands one step late, overlapped with the next step's
         # compute. See repro.offload.engine for the staleness contract.
         dpu = self.offload is not None and self.offload.config.delayed_param_update
-        stale16 = self.opt_state.master.data.astype(self.model.dtype) if dpu else None
+        stale16 = to_dtype(self.opt_state.master.data, self.model.dtype) if dpu else None
 
         def update(lo: int, hi: int) -> None:
             adam_step_inplace(
@@ -285,7 +285,7 @@ class _ZeroDPBase(BaseEngine):
             self.with_fused_buffer(self.part_numel, update)
         self._all_gather_params(
             stale16 if stale16 is not None
-            else self.opt_state.master.data.astype(self.model.dtype)
+            else to_dtype(self.opt_state.master.data, self.model.dtype)
         )
         return True
 
@@ -300,7 +300,7 @@ class _ZeroDPBase(BaseEngine):
             is_meta=self.is_meta, phase="param-allgather",
         )
         if full is not None:
-            self.layout.scatter_params(full.astype(self.model.dtype))
+            self.layout.scatter_params(to_dtype(full, self.model.dtype))
         if self.tracer is not None:
             self.tracer.end()
 

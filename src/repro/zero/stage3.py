@@ -36,6 +36,7 @@ from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
 from repro.parallel.engine import BaseEngine, EngineConfig
 from repro.runtime import RankContext
+from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -120,7 +121,7 @@ class ZeroStage3Engine(BaseEngine):
                     device=ctx.device, tag="zero3-grad-shard",
                 )
         if not self.is_meta:
-            self.opt_state.init_master(self.param_shard.data.astype(np.float32))
+            self.opt_state.init_master(to_dtype(self.param_shard.data, np.float32))
 
         # Unit index: each unit's params occupy a contiguous flat range.
         self._unit_range: dict[str, tuple[int, int]] = {}
@@ -292,11 +293,10 @@ class ZeroStage3Engine(BaseEngine):
                     # Accumulate (fp32) for gradient accumulation; shard is
                     # zeroed after the optimizer step.
                     view = self.grad_shard.data[lo - self.part_lo : hi - self.part_lo]
-                    acc = view.astype(np.float32) + reduced[
-                        cursor : cursor + hi - lo
-                    ].astype(np.float32)
-                    with np.errstate(over="ignore"):  # saturate like hardware
-                        view[:] = acc.astype(view.dtype)
+                    acc = to_dtype(view, np.float32) + to_dtype(
+                        reduced[cursor : cursor + hi - lo], np.float32
+                    )
+                    view[:] = to_dtype(acc, view.dtype)  # saturates like hardware
                     cursor += hi - lo
             fused.free()
         if (
@@ -340,7 +340,7 @@ class ZeroStage3Engine(BaseEngine):
                 # Host-side Adam needs no device working buffer.
                 self.with_fused_buffer(self.part_numel, lambda lo, hi: None)
             return True
-        grad32 = self.grad_shard.numpy().astype(np.float32)
+        grad32 = to_dtype(self.grad_shard.numpy(), np.float32)
         grad32 /= self.grad_divisor
         overflow = self._global_overflow(LossScaler.has_overflow(grad32))
         if not self.scaler.update(overflow):
@@ -356,7 +356,7 @@ class ZeroStage3Engine(BaseEngine):
         # next step's compute (staleness contract in repro.offload.engine).
         dpu = self.offload is not None and self.offload.config.delayed_param_update
         if dpu:
-            self.param_shard.data = self.opt_state.master.data.astype(self.model.dtype)
+            self.param_shard.data = to_dtype(self.opt_state.master.data, self.model.dtype)
 
         def update(lo: int, hi: int) -> None:
             adam_step_inplace(
@@ -381,7 +381,7 @@ class ZeroStage3Engine(BaseEngine):
         if not dpu:
             # Refresh the fp16 shard; no all-gather — next step re-gathers
             # lazily.
-            self.param_shard.data = self.opt_state.master.data.astype(self.model.dtype)
+            self.param_shard.data = to_dtype(self.opt_state.master.data, self.model.dtype)
         return True
 
     def checkpoint_partition(self) -> tuple[int, int]:
