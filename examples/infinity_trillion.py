@@ -80,7 +80,7 @@ def main():
     print(f"  host DRAM shard:  {bytes_to_str(ctx.host.allocated_bytes)}")
     print(f"  NVMe shards:      {bytes_to_str(ctx.nvme.allocated_bytes)}")
 
-    runtime = engine.offload  # the InfinityEngine driving the tier clock
+    runtime = engine.infinity
     cost = InfinityCostModel(
         CONFIG, gpu=ctx.device.spec, checkpointing=zero.checkpoint_activations,
         infinity=PLACEMENT,

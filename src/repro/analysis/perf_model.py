@@ -61,6 +61,22 @@ def transformer_flops_per_replica(
     return base * b * s * L * h * h * (1.0 + s / (6.0 * h) + v / (16.0 * L * h))
 
 
+def compute_split(
+    config: GPTConfig, batch: int, seq_len: int, *, peak_flops: float,
+    checkpointing: bool, mp_degree: int = 1,
+) -> tuple[float, float]:
+    """Modeled (forward_s, backward_s) GEMM seconds of one micro-batch on
+    one rank: hardware FLOPs per replica, split over the MP degree, at
+    the achieved GEMM throughput. With recompute the 96-FLOP accounting
+    splits 1/4 forward : 3/4 backward(+recompute); without, 1/3 : 2/3."""
+    flops = transformer_flops_per_replica(
+        config, batch, seq_len, checkpointing=checkpointing
+    ) / mp_degree
+    sec = flops / (peak_flops * gemm_efficiency(config.hidden))
+    f_frac = 0.25 if checkpointing else 1.0 / 3.0
+    return sec * f_frac, sec * (1.0 - f_frac)
+
+
 @dataclass(frozen=True)
 class ThroughputBreakdown:
     """Per-step seconds and the resulting per-GPU throughput."""

@@ -182,7 +182,7 @@ def run_time() -> list[InfinityTimeRow]:
         for _ in range(TIME_STEPS):
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
-        runtime = engine.offload  # the InfinityEngine driving the clock
+        runtime = engine.infinity
         cost = InfinityCostModel(
             TIME_MODEL, gpu=ctx.device.spec,
             checkpointing=zero.checkpoint_activations, infinity=inf,

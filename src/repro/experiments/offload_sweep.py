@@ -11,10 +11,11 @@ Two results, in the spirit of the paper's Figure 4 democratization story:
    single commodity GPU.
 
 2. **Cost model vs simulated timeline.** The same meta-mode engines that
-   produce the memory figures also drive ``OffloadRuntime``'s per-step
-   transfer timeline; ``OffloadCostModel``'s closed form must predict the
-   simulated step time within 5% across stages, gradient streaming, and
-   DPU.
+   produce the memory figures also drive the offload tier's per-step
+   transfer timeline (``InfinityEngine`` under the host-only placement the
+   offload flags compile to); ``InfinityCostModel``'s closed form must
+   predict the simulated step time within 5% across stages, gradient
+   streaming, and DPU.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.analysis.max_model import max_layers
 from repro.analysis.memory_model import host_state_bytes
 from repro.hardware.topology import ClusterTopology
 from repro.nn.transformer import GPTConfig
-from repro.offload.cost_model import OffloadCostModel, relative_error
+from repro.infinity.cost_model import InfinityCostModel
+from repro.offload.cost_model import relative_error
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
@@ -128,15 +130,15 @@ def run_time() -> list[OffloadTimeRow]:
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
         chunks = sum(
-            1 for h in engine.offload.stream.handles if h.phase == "offload-grad"
+            1 for h in engine.infinity.pcie.handles if h.phase == "infinity-grad"
         )
-        cost = OffloadCostModel(
+        cost = InfinityCostModel(
             TIME_MODEL, gpu=ctx.device.spec,
             checkpointing=zero.checkpoint_activations,
+            infinity=engine.infinity.config,
         )
         pred = cost.predict_step(
             batch=TIME_BATCH, seq_len=TIME_SEQ, nd=TIME_ND, numel=engine.part_numel,
-            offload_gradients=streamed, delayed_param_update=dpu,
             grad_chunks=max(chunks, 1),
         )
         rows.append(

@@ -1,10 +1,12 @@
 """ZeRO-Infinity tier: NVMe offload hierarchy, overlap-centric prefetch
 engine, and memory-centric tiling.
 
-Generalizes ``repro.offload`` (one host tier) into a device -> host ->
-NVMe hierarchy: ``TierTopology`` describes the stack one GPU sees (per-
-tier capacity + alpha-beta links from ``repro.hardware``), ``TierStream``
-schedules full-duplex transfers per link, ``InfinityConfig`` assigns each
+The one offload engine: ZeRO-Offload is its host-only placement, and
+ZeRO-Infinity extends that to a device -> host -> NVMe hierarchy
+(``repro.offload`` keeps only the host-resident Adam state).
+``TierTopology`` describes the stack one GPU sees (per-tier capacity +
+alpha-beta links from ``repro.hardware``), ``TierStream`` schedules
+full-duplex transfers per link, ``InfinityConfig`` assigns each
 ZeRO state class (fp16 params, grads, fp32 optimizer state) to a tier,
 and ``InfinityEngine`` overlaps the movement with compute on the
 simulated clock. ``InfinityCostModel`` is the closed-form companion;

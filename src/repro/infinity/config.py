@@ -4,15 +4,24 @@ ZeRO-Infinity's placement policy is per state class: the fp16 parameter
 shards, the fp16 gradient shards, and the fp32 optimizer state (master +
 Adam moments) each get a tier — device HBM, host DRAM, or NVMe. The
 config also carries the overlap knobs (prefetch depth, optimizer paging
-chunk size, memory-centric tile size) and the link/throughput overrides
-the offload config already had.
+chunk size, memory-centric tile size) and the link/throughput overrides.
+ZeRO-Offload is the host-only placement (os@host, g@device|host,
+p@device): ``ZeROConfig``'s ``offload_*`` flags compile to exactly that.
 
 Placement never changes numerics: a tier is *where the bytes are
 accounted and what the transfers cost on the modeled clock*; the values
 flow through the exact same kernels in the same order (the bitwise
 contract ``tests/test_infinity.py`` verifies). ``delayed_param_update``
-remains the single deliberate numeric change, with the same one-step
-staleness contract as ZeRO-Offload.
+remains the single deliberate numeric change.
+
+Staleness contract under DPU: after optimizer step t, the fp16 parameters
+equal fp16(master after step t-1) — the update computed from step t's
+gradients lands one step later, overlapped with step t+1's compute. Step
+t+1 therefore trains on parameters one update stale. An overflow-skip
+step leaves master untouched, so the same stale values are re-broadcast;
+saving a checkpoint is a synchronization point (master is saved
+post-update, and resume rebuilds fp16 params from it, collapsing the
+one-step lag).
 """
 
 from __future__ import annotations
@@ -54,7 +63,6 @@ class InfinityConfig:
     pcie: InterconnectSpec | None = None
     nvme: InterconnectSpec | None = None
     cpu_adam_elements_per_s: float = CPU_ADAM_ELEMENTS_PER_S
-    checkpointing: bool = True
 
     def __post_init__(self):
         for label, tier in (
@@ -86,10 +94,7 @@ class InfinityConfig:
         if self.cpu_adam_elements_per_s <= 0:
             raise ValueError("cpu_adam_elements_per_s must be positive")
 
-    # -- OffloadConfig-compatible view ---------------------------------------
-    # The stage engines and BaseEngine drive offload placement through
-    # these three flags; deriving them from the tier assignment lets the
-    # infinity runtime ride the exact same hooks.
+    # -- placement flags the stage engines consult ---------------------------
 
     @property
     def offload_optimizer(self) -> bool:

@@ -1,8 +1,11 @@
-"""Closed-form step-time model for multi-tier (ZeRO-Infinity) training.
+"""Closed-form step-time model for offload-tier (ZeRO-Offload and
+ZeRO-Infinity) training.
 
-Extends ``repro.offload.cost_model.OffloadCostModel`` from one host tier
-to the device -> host -> NVMe hierarchy, matching the scheduling rules
-``InfinityEngine`` applies to its simulated timeline:
+Predicts one optimizer step's wall time over the device -> host -> NVMe
+hierarchy, matching the scheduling rules ``InfinityEngine`` applies to its
+simulated timeline. ZeRO-Offload is the host-only placement, where the
+terms below reduce to GPU compute, PCIe d2h (gradients), host Adam and
+PCIe h2d (parameters):
 
 - **Paged gathers** (stage 3, off-device parameter shards): with n unit
   gathers per pass, depth-1 prefetch and per-gather page-in chain time
@@ -12,35 +15,39 @@ to the device -> host -> NVMe hierarchy, matching the scheduling rules
   otherwise. Pass the engine's actual per-gather byte profile for exact
   heterogeneous units (the embedding unit dwarfs a block), or counts for
   the uniform approximation.
-- **Streamed gradients**: the ZeRO-Offload two-regime bound extended one
-  hop. With k pieces over backward window B, PCIe piece time c_p and NVMe
-  piece time c_n, the last byte lands at
-  ``B + c_p + c_n`` (no lane saturates), ``B/k + k*c_p + c_n`` (PCIe
-  saturates) or ``B/k + c_p + k*c_n`` (NVMe saturates) — the max covers
-  all three regimes.
+- **Streamed gradients**: k pieces submitted uniformly over the backward
+  window B, PCIe piece time c_p and NVMe piece time c_n. The last byte
+  lands at ``B + c_p + c_n`` (no lane saturates), ``B/k + k*c_p + c_n``
+  (PCIe saturates) or ``B/k + c_p + k*c_n`` (NVMe saturates) — the max
+  covers all three regimes (c_n = 0 for host-resident gradients).
+- **Boundary gradients** (off-device optimizer, device gradients): one
+  shard-sized d2h after backward.
 - **Paged optimizer update**: C equal chunks flowing through an
   in -> update -> out pipeline cost one chunk's full chain plus (C-1)
   bottleneck stages: ``a + u + o + (C-1) * max(a, u, o)``.
-- DPU and the step-level max() composition are identical to the offload
-  model; with everything on the host tier the prediction degenerates to
-  ``OffloadCostModel.predict_step`` exactly.
+- Non-DPU step: ``step = grads_ready + update + refresh`` (or compute,
+  if larger). DPU steady state: the update overlaps the next step's
+  compute, so ``step = max(compute, grads_ready, update + refresh)``.
 
-The prediction and ``InfinityEngine`` share every constant, so agreement
-is exact up to piece granularity (the engine schedules actual unit/chunk
-sizes, the closed form assumes equal pieces); the sweep asserts <= 5%.
+The prediction and ``InfinityEngine`` share every constant (flops
+accounting, GEMM efficiency, link alpha-beta, CPU Adam throughput), so
+agreement is exact up to piece granularity (the engine schedules actual
+unit/chunk sizes, the closed form assumes equal pieces); the sweeps
+assert <= 5%.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.perf_model import SEQ_LEN
-from repro.hardware.specs import NVME_RAID, InterconnectSpec
+from repro.analysis.perf_model import SEQ_LEN, compute_split
+from repro.hardware.specs import NVME_RAID, PCIE_3_X16, GPUSpec, InterconnectSpec, V100_32GB
 from repro.infinity.config import InfinityConfig
 from repro.infinity.engine import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import wire_seconds
-from repro.offload.cost_model import OffloadCostModel, relative_error
-from repro.offload.host_optim import CPU_ADAM_LATENCY_S
+from repro.nn.transformer import GPTConfig
+from repro.offload.cost_model import relative_error
+from repro.offload.host_optim import CPU_ADAM_LATENCY_S, cpu_adam_seconds
 
 __all__ = ["InfinityCostModel", "InfinityStepPrediction", "relative_error"]
 
@@ -63,11 +70,34 @@ class InfinityStepPrediction:
 
 
 @dataclass(frozen=True)
-class InfinityCostModel(OffloadCostModel):
+class InfinityCostModel:
     """Step-time predictor for one (model, GPU, tier hierarchy, placement)."""
 
+    model_config: GPTConfig
+    gpu: GPUSpec = V100_32GB
+    pcie: InterconnectSpec = PCIE_3_X16
+    checkpointing: bool = True
+    mp_degree: int = 1
     infinity: InfinityConfig = field(default_factory=InfinityConfig)
     nvme: InterconnectSpec = NVME_RAID
+
+    # -- pieces --------------------------------------------------------------
+
+    def compute_seconds(self, batch: int, seq_len: int = SEQ_LEN) -> tuple[float, float]:
+        """(forward, backward) seconds for one micro-batch on one rank."""
+        return compute_split(
+            self.model_config, batch, seq_len, peak_flops=self.gpu.peak_flops,
+            checkpointing=self.checkpointing, mp_degree=self.mp_degree,
+        )
+
+    def transfer_seconds(self, nbytes: int | float) -> float:
+        """Wire time of one PCIe copy (shared per-tier alpha-beta form)."""
+        return wire_seconds(self.pcie, nbytes)
+
+    def partition_numel(self, nd: int) -> int:
+        """This rank's share of the flat parameter space (1/Nd, rounded up
+        like FlatLayout's padding)."""
+        return -(-self.model_config.total_params // nd)
 
     def nvme_seconds(self, nbytes: int | float) -> float:
         """Wire time of one NVMe transfer (shared per-tier alpha-beta form)."""
@@ -109,7 +139,6 @@ class InfinityCostModel(OffloadCostModel):
         gather_tiles: int = 1,
         gathers_forward: list[tuple[float, int]] | None = None,
         gathers_backward: list[tuple[float, int]] | None = None,
-        **_ignored,
     ) -> InfinityStepPrediction:
         """Steady-state step time for a multi-tier optimizer step.
 
@@ -153,7 +182,7 @@ class InfinityCostModel(OffloadCostModel):
         # -- the update ------------------------------------------------------
         adam_s = opt_page_s = update_s = 0.0
         if cfg.optimizer_tier == "host":
-            adam_s = CPU_ADAM_LATENCY_S + n / cfg.cpu_adam_elements_per_s
+            adam_s = cpu_adam_seconds(n, elements_per_s=cfg.cpu_adam_elements_per_s)
             update_s = adam_s
         elif cfg.optimizer_tier == "nvme":
             in_bpe = OPT_STATE_BYTES_PER_ELEM + (2 if cfg.grad_tier == "nvme" else 0)

@@ -6,13 +6,12 @@ a capacity and is reached over a full-duplex link with alpha-beta cost.
 sees (built from ``repro.hardware`` specs so capacities and link numbers
 are hardware truth), and ``TierStream`` the per-link transfer scheduler.
 
-``TierStream`` is the generalization of the ZeRO-Offload PCIe stream: two
-independent lanes ("out" = away from the device, "in" = toward it), each
-serializing its transfers under ``start = max(submit, lane_free)`` and
+``TierStream`` models one full-duplex link as two independent lanes
+("out" = away from the device, "in" = toward it), each serializing its
+transfers under ``start = max(submit, lane_free)`` and
 ``done = start + alpha + bytes/beta`` on a within-step clock (t = 0 at
-forward begin). ``repro.offload.streams.PCIeStream`` is now the two-tier
-special case — same scheduling, lanes labelled d2h/h2d — so the offload
-engine and the infinity engine share one duplex-bandwidth model.
+forward begin). The PCIe link is the pair labelled d2h/h2d — the
+ZeRO-Offload stream — and the NVMe link the pair nvme-out/nvme-in.
 """
 
 from __future__ import annotations
@@ -161,9 +160,9 @@ class TransferHandle:
 class TierStream:
     """Full-duplex lane pair for one tier link, with async handle semantics.
 
-    Subclasses (or callers) pick the two lane labels; ZeRO-Offload's
-    ``PCIeStream`` uses ``("d2h", "h2d")``, the infinity engine's NVMe
-    stream uses ``("out", "in")``. Every copy lands in the rank's
+    Callers pick the two lane labels: the PCIe stream uses
+    ``("d2h", "h2d")``, the NVMe stream ``("nvme-out", "nvme-in")``
+    (default ``("out", "in")``). Every copy lands in the rank's
     CommLedger under its lane label so volume accounting sees tier traffic
     exactly like collective traffic.
     """

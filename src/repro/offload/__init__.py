@@ -1,13 +1,16 @@
-"""ZeRO-Offload over the simulator: host-resident fp32 Adam, streamed PCIe
-gradient/parameter traffic, and one-step delayed parameter update.
+"""ZeRO-Offload's host-side pieces: host-resident fp32 Adam state and its
+CPU step-time model.
 
-The engines' numerics never change — offload moves *placement* (device ->
-host) and adds a transfer timeline, which is why offloaded training is
-bitwise identical to the all-device path when DPU is off.
+Offloaded training is the host-only placement of ZeRO-Infinity:
+``ZeROConfig(offload_optimizer=..., offload_gradients=...,
+delayed_param_update=...)`` compiles to an ``InfinityConfig`` with the
+optimizer (and optionally the gradients) on the host tier, and
+``repro.infinity.InfinityEngine`` schedules its PCIe traffic. Placement
+never changes numerics, which is why offloaded training is bitwise
+identical to the all-device path when DPU is off.
 """
 
-from repro.offload.cost_model import OffloadCostModel, OffloadStepPrediction, relative_error
-from repro.offload.engine import OffloadConfig, OffloadRuntime, OffloadStepReport
+from repro.offload.cost_model import relative_error
 from repro.offload.host_optim import (
     CPU_ADAM_ELEMENTS_PER_S,
     CPU_ADAM_LATENCY_S,
@@ -15,20 +18,12 @@ from repro.offload.host_optim import (
     HostTensor,
     cpu_adam_seconds,
 )
-from repro.offload.streams import PCIeStream, TransferHandle
 
 __all__ = [
     "CPU_ADAM_ELEMENTS_PER_S",
     "CPU_ADAM_LATENCY_S",
     "HostAdamState",
     "HostTensor",
-    "OffloadConfig",
-    "OffloadCostModel",
-    "OffloadRuntime",
-    "OffloadStepPrediction",
-    "OffloadStepReport",
-    "PCIeStream",
-    "TransferHandle",
     "cpu_adam_seconds",
     "relative_error",
 ]

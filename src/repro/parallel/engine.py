@@ -62,22 +62,18 @@ class EngineConfig:
     # partition norm^2, summed across the DP group, sqrt — then every rank
     # applies the identical scale factor.
     grad_clip_norm: float | None = None
-    # Optional repro.offload.OffloadConfig: host-resident optimizer state
-    # (and optionally gradients) with a modeled PCIe transfer timeline.
-    # Only the partitioned engines (ZeRO stages 1-3) support it; the
-    # factory threads it through from ZeROConfig's offload_* flags.
-    offload: "OffloadConfig | None" = None
     # Optional repro.integrity.IntegrityConfig: SDC detectors (shard
     # digest guard, cross-rank replicated-state audit, loss/grad-norm
     # sentinels). None (the default) allocates nothing — same
     # zero-overhead convention as fault plans and telemetry. The factory
     # threads it through from ZeROConfig.audit_cadence.
     integrity: "IntegrityConfig | None" = None
-    # Optional repro.infinity.InfinityConfig: the multi-tier (device ->
-    # host -> NVMe) generalization of ``offload``. Mutually exclusive with
-    # ``offload`` — the infinity runtime drives the same step clock through
-    # the identical ``self.offload`` driver surface. The factory threads it
-    # through from ZeROConfig.infinity.
+    # Optional repro.infinity.InfinityConfig: which tier (device, host
+    # DRAM, NVMe) each state class lives on, with a modeled transfer
+    # timeline. ZeRO-Offload is its host-only placement. Only the
+    # partitioned engines (ZeRO stages 1-3) support off-device state; the
+    # factory threads it through from ZeROConfig (``infinity`` or the
+    # ``offload_*`` flags).
     infinity: "InfinityConfig | None" = None
 
 
@@ -93,8 +89,8 @@ class BaseEngine:
     """Common step orchestration; subclasses implement reduction + update."""
 
     name = "base"
-    #: ZeRO-Offload needs a partitioned optimizer (a ``part_numel`` range
-    #: to ship host-side); stages 1-3 flip this on.
+    #: Off-device optimizer state needs a partitioned optimizer (a
+    #: ``part_numel`` range to ship off the device); stages 1-3 flip this on.
     supports_offload = False
     #: ZeRO-Infinity parameter paging/tiling needs partitioned parameters
     #: that are gathered per unit; only stage 3 flips this on.
@@ -157,27 +153,12 @@ class BaseEngine:
                     data=None if self.is_meta else np.zeros(self.config.fused_buffer_numel, np.float32),
                     device=ctx.device, tag="cb-fused-buffer",
                 )
-        # ZeRO-Offload companion: owns the PCIe stream and the per-step
-        # transfer/step-time model. Placement changes live in the ZeRO
-        # engines; this base only drives the step clock.
-        self.offload = None
+        # Offload-tier companion (ZeRO-Offload / ZeRO-Infinity): owns the
+        # tier streams and the per-step transfer/step-time model. Placement
+        # changes live in the ZeRO engines; this base only drives the clock.
         self.infinity = None
-        if self.config.offload is not None and self.config.infinity is not None:
-            raise ValueError(
-                "offload and infinity are mutually exclusive — InfinityConfig "
-                "subsumes the host tier (set param/grad/optimizer tiers instead)"
-            )
-        if self.config.offload is not None:
-            if not self.supports_offload:
-                raise ValueError(
-                    f"engine {self.name!r} does not support offload "
-                    "(requires a partitioned optimizer, ZeRO stage >= 1)"
-                )
-            from repro.offload.engine import OffloadRuntime
-
-            self.offload = OffloadRuntime(ctx, self.config.offload, model.config)
-        elif self.config.infinity is not None:
-            inf_cfg = self.config.infinity
+        inf_cfg = self.config.infinity
+        if inf_cfg is not None:
             if inf_cfg.offload_optimizer and not self.supports_offload:
                 raise ValueError(
                     f"engine {self.name!r} does not support off-device optimizer "
@@ -190,15 +171,7 @@ class BaseEngine:
                 )
             from repro.infinity.engine import InfinityEngine
 
-            mp_group = getattr(model, "mp_group", None)
-            self.infinity = InfinityEngine(
-                ctx, inf_cfg, model.config,
-                mp_degree=mp_group.size if mp_group is not None else 1,
-            )
-            # The infinity runtime implements the offload driver surface
-            # (begin_micro / queue_grad_d2h / finish_step / trace_step /
-            # reports), so the step loop below needs no second code path.
-            self.offload = self.infinity
+            self.infinity = InfinityEngine(ctx, inf_cfg)
         # SDC detector stack (repro.integrity). Constructed lazily at the
         # first train_step — the subclass's optimizer state (the shards it
         # fingerprints) does not exist yet at this point in __init__.
@@ -275,14 +248,14 @@ class BaseEngine:
                 tgt_t = Tensor.from_numpy(np.asarray(targets), device=self.ctx.device, tag="batch.targets")
                 free_inputs.append(tgt_t)
         ctx = ExecutionContext(training=True)
-        if self.offload is not None:
-            self.offload.begin_micro(ids_t.shape[0], ids_t.shape[-1])
-
         tr = self.tracer
         fwd_s = bwd_s = 0.0
+        if tr is not None or self.infinity is not None:
+            fwd_s, bwd_s = self._compute_split(ids_t.shape[0], ids_t.shape[-1])
+        if self.infinity is not None:
+            self.infinity.begin_micro(fwd_s, bwd_s)
         step_t0 = 0.0
         if tr is not None:
-            fwd_s, bwd_s = self._compute_split(ids_t.shape[0], ids_t.shape[-1])
             perf_plan = self.ctx.fabric.fault_plan
             if perf_plan is not None and perf_plan.has_perf_rules:
                 # Gray failures (throttle/jitter) stretch the *modeled*
@@ -341,11 +314,10 @@ class BaseEngine:
                 tr.end()
                 tr.begin("optimizer")
             applied = self._optimizer_step()
-            if self.offload is not None:
-                self._offload_finish(applied)
-                step_time_s = self.offload.reports[-1].step_s
+            if self.infinity is not None:
+                step_time_s = self._infinity_finish(applied).step_s
                 if tr is not None:
-                    self.offload.trace_step(tr, step_t0)
+                    self.infinity.trace_step(tr, step_t0)
             self._release_gradients()
             if self.integrity is not None:
                 self.integrity.after_optimizer(self.step_count, applied, loss_value)
@@ -487,30 +459,21 @@ class BaseEngine:
     def _compute_split(self, batch: int, seq_len: int) -> tuple[float, float]:
         """Modeled (forward_s, backward_s) GEMM seconds for one micro-batch.
 
-        Identical accounting to ``OffloadRuntime.begin_micro`` and
-        ``analysis.sim_time``: hardware FLOPs per replica (scaled down by
-        the MP degree for tensor-parallel models) over achieved GEMM
-        throughput, split 1/4 : 3/4 with activation recompute, 1/3 : 2/3
-        without — so traced span durations and the ledger-driven step-time
-        estimate agree by construction.
+        The model's own activation-checkpointing flag and MP degree price
+        it (``analysis.perf_model.compute_split``, the accounting
+        ``analysis.sim_time`` uses), so traced span durations, the offload
+        tier's step clock and the ledger-driven step-time estimate agree
+        by construction.
         """
-        from repro.analysis.perf_model import (
-            gemm_efficiency,
-            transformer_flops_per_replica,
-        )
+        from repro.analysis.perf_model import compute_split
 
-        ckpt = bool(getattr(self.model, "checkpoint_activations", False))
         mp_group = getattr(self.model, "mp_group", None)
-        degree = mp_group.size if mp_group is not None else 1
-        flops = transformer_flops_per_replica(
-            self.model.config, batch, seq_len, checkpointing=ckpt
-        ) / degree
-        sec = flops / (
-            self.ctx.device.spec.peak_flops
-            * gemm_efficiency(self.model.config.hidden)
+        return compute_split(
+            self.model.config, batch, seq_len,
+            peak_flops=self.ctx.device.spec.peak_flops,
+            checkpointing=bool(getattr(self.model, "checkpoint_activations", False)),
+            mp_degree=mp_group.size if mp_group is not None else 1,
         )
-        f_frac = 0.25 if ckpt else 1.0 / 3.0
-        return sec * f_frac, sec * (1.0 - f_frac)
 
     def _before_forward(self) -> None:
         return
@@ -539,23 +502,25 @@ class BaseEngine:
     def _optimizer_step(self) -> bool:
         raise NotImplementedError
 
-    def _offload_finish(self, applied: bool) -> None:
-        """Close the offload runtime's step clock at an optimizer boundary.
+    def _infinity_finish(self, applied: bool):
+        """Close the offload tier's step clock at an optimizer boundary.
 
-        Uses the engine's ``part_numel`` partition (hence offload requires
-        a partitioned engine): the host Adam covers those elements, the
-        fp16 refresh ships that many parameter bytes back, and — when
-        gradients stayed device-resident — the shard goes host-side in one
-        boundary d2h. An overflow-skip step (``applied`` False) moves no
-        optimizer bytes; its gradients already crossed the link.
+        Uses the engine's ``part_numel`` partition (hence off-device state
+        requires a partitioned engine): the host Adam covers those
+        elements, the fp16 refresh ships that many parameter bytes, and —
+        when gradients stayed device-resident — the shard leaves the
+        device in one boundary d2h. An overflow-skip step (``applied``
+        False) moves no optimizer bytes; its gradients already crossed
+        the link.
         """
-        cfg = self.offload.config
         itemsize = np.dtype(self.model.dtype).itemsize
         shard_bytes = self.part_numel * itemsize
-        self.offload.finish_step(
+        return self.infinity.finish_step(
             adam_numel=self.part_numel if applied else 0,
             param_h2d_bytes=shard_bytes if applied else 0,
-            boundary_grad_bytes=0 if cfg.offload_gradients else shard_bytes,
+            boundary_grad_bytes=(
+                0 if self.infinity.config.offload_gradients else shard_bytes
+            ),
         )
 
     def _release_gradients(self) -> None:

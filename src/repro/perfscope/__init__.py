@@ -1,8 +1,8 @@
 """Perfscope: critical-path analytics over the traced step timeline.
 
 The observability capstone on top of ``repro.telemetry``: reconstruct
-each traced step as a blocking-dependency graph (``graph``), replay the
-offload/infinity overlapped schedules bit-exactly (``runtime_replay``),
+each traced step as a blocking-dependency graph (``graph``, which re-runs
+the offload-tier engine's own scheduler for overlapped boundaries),
 attribute every second of step time to a stall category (``critpath``),
 answer counterfactuals by re-pricing the graph (``whatif``), and surface
 it all as reports / gauges / trace annotation (``report``).
@@ -17,7 +17,7 @@ Entry point::
 
 The core invariant (pinned by the test suite): for a serialized rank the
 critical path equals the traced step time *exactly*; for an
-offload/infinity rank it equals the runtime's modeled ``step_s``
+offload-tier rank it equals the engine's modeled ``step_s``
 bit-exactly; and it never exceeds the sum of per-track busy time.
 """
 

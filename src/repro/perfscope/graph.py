@@ -13,11 +13,12 @@ modes cover every engine:
   *exactly*. Cross-rank edges come from rendezvous matching: the k-th
   occurrence of a collective on a group couples all member ranks, and a
   recv depends on its matched send (peers are recorded in the ledger).
-- **Runtime replay** (ZeRO-Offload / ZeRO-Infinity boundaries): the
-  overlapped schedule of ``finish_step`` is replayed from the captured
-  scheduling inputs (``repro.perfscope.runtime_replay``), reproducing
-  ``OffloadStepReport.step_s`` / ``InfinityStepReport.step_s`` bit-exactly
-  while exposing the full dependency structure (prefetch windows, lane
+- **Runtime schedule** (offload-tier boundaries): the engine's own
+  scheduler (``repro.infinity.engine.schedule_step``) is re-run on the
+  captured scheduling inputs over ``GraphLanes``, which record every copy,
+  span and milestone as a node. The graph therefore reproduces
+  ``InfinityStepReport.step_s`` bit-exactly by construction while
+  exposing the full dependency structure (prefetch windows, lane
   queueing, the NVMe in->update->out pipeline, DPU carry).
 
 ``schedule`` assigns start/end times (step-relative, t=0 at step begin).
@@ -34,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.infinity.engine import StreamLanes, schedule_step
+from repro.infinity.tiers import TierStream
 from repro.telemetry.spans import STEP_SPAN
 
 #: transfer ops and the link class they ride (for re-pricing).
@@ -66,7 +69,7 @@ class Node:
     # observed step-relative interval (main-track reconstruction only)
     obs_start: float | None = None
     obs_end: float | None = None
-    # runtime-replay nodes carry authoritative times; schedule() keeps them
+    # runtime-schedule nodes carry authoritative times; schedule() keeps them
     fixed: bool = False
     # filled by schedule()
     start_s: float = 0.0
@@ -84,8 +87,8 @@ class StepGraph:
     def __init__(self, step_index: int):
         self.step_index = step_index
         self.nodes: list[Node] = []
-        #: per-rank serialized spine (main-track chain, or the replay's
-        #: compute chain) in time order, as node ids.
+        #: per-rank serialized spine of main-track ranks, in time order,
+        #: as node ids (offload-tier ranks are walked by critical path).
         self.rank_chain: dict[int, list[int]] = {}
         #: per-rank step-end node id.
         self.rank_end: dict[int, int] = {}
@@ -94,7 +97,7 @@ class StepGraph:
         #: checked against.
         self.observed_step_s: dict[int, float] = {}
         #: build sources kept for what-if re-pricing:
-        #: rank -> ("main", [entry...]) | ("runtime", kind, payload).
+        #: rank -> ("main", entries, duration) | ("runtime", payload, duration).
         self.sources: dict[int, tuple] = {}
         #: per-rank tracer-clock time of the step begin (graph times are
         #: step-relative; this rebases them for trace annotation).
@@ -228,8 +231,8 @@ def _phase_label(phases, t: float) -> str:
 def extract_sources(tracer, step: int) -> tuple | None:
     """Build rank ``tracer.rank``'s source descriptor for one step.
 
-    Returns ``("runtime", kind, payload, duration)`` when the step closed
-    an offload/infinity boundary, ``("main", entries, duration)`` for a
+    Returns ``("runtime", payload, duration)`` when the step closed an
+    offload-tier boundary, ``("main", entries, duration)`` for a
     serialized main-clock step, or None when this rank never traced the
     step. Main entries are ``("compute", label, dur, rel_start, rel_end)``
     and ``("event", op, phase, nbytes, group_ranks, peer, dur, rel_start,
@@ -240,10 +243,9 @@ def extract_sources(tracer, step: int) -> tuple | None:
         return None
     span = spans[step]
     t0, t1 = span.start_s, span.end_s
-    runtime = tracer.runtime_steps.get(step)
-    if runtime is not None:
-        kind, payload = runtime
-        return ("runtime", kind, payload, span.duration_s)
+    payload = tracer.runtime_steps.get(step)
+    if payload is not None:
+        return ("runtime", payload, span.duration_s)
     phases = [
         (s.name, s.start_s, s.end_s)
         for s in tracer.spans
@@ -318,6 +320,72 @@ def _add_main_rank(g: StepGraph, rank: int, entries, duration: float, pricer=Non
     g.observed_step_s[rank] = duration
 
 
+class GraphLanes(StreamLanes):
+    """Perfscope's lane set for ``schedule_step``: the engine's schedule
+    re-run on private, ledger-free ``TierStream``s over (possibly
+    re-priced) links, with every copy, span and milestone recorded as a
+    fixed-time node of ``g``. A copy depends on what it waited for and on
+    the previous occupant of its lane."""
+
+    def __init__(self, g: StepGraph, rank: int, pcie, nvme):
+        super().__init__(
+            TierStream(pcie, directions=("d2h", "h2d")),
+            TierStream(nvme, directions=("nvme-out", "nvme-in")),
+        )
+        self.g = g
+        self.rank = rank
+        self._lane_last: dict[str, int] = {}
+        self._xfer_nid: dict[int, int] = {}  # id(handle) -> node id
+
+    def _nids(self, tokens) -> list[int]:
+        return [
+            t.nid if isinstance(t, Node) else self._xfer_nid[id(t)]
+            for t in tokens if t is not None
+        ]
+
+    def copy(self, nbytes, direction, submit, phase, dep):
+        h = super().copy(nbytes, direction, submit, phase, dep)
+        deps = self._nids((dep,))
+        if direction in self._lane_last:
+            deps.append(self._lane_last[direction])
+        node = self.g.add(
+            rank=self.rank, kind="xfer", label=direction, track=f"lane-{direction}",
+            dur_s=h.done_t - h.start_t, deps=deps, op=direction,
+            nbytes=int(nbytes), phase=phase, link=XFER_LINK[direction],
+            fixed=True, start_s=h.start_t, end_s=h.done_t,
+        )
+        self._lane_last[direction] = node.nid
+        self._xfer_nid[id(h)] = node.nid
+        return h
+
+    def span(self, kind, label, track, start, end, dep, dep2=None):
+        return self.g.add(
+            rank=self.rank, kind=kind, label=label, track=track,
+            dur_s=end - start, deps=self._nids((dep, dep2)), fixed=True,
+            start_s=start, end_s=end,
+        )
+
+    def milestone(self, label, t, *deps):
+        return self.g.add(
+            rank=self.rank, kind="milestone", label=label, track="main",
+            deps=self._nids(deps), fixed=True, start_s=t, end_s=t,
+        )
+
+
+def add_runtime_rank(g: StepGraph, rank: int, payload: dict, *,
+                     pcie=None, nvme=None, adam_rate=None) -> None:
+    """Re-run the engine's scheduler on one rank's captured boundary,
+    optionally with re-priced ``pcie``/``nvme`` links and CPU Adam rate."""
+    lanes = GraphLanes(
+        g, rank,
+        payload["pcie"] if pcie is None else pcie,
+        payload["nvme"] if nvme is None else nvme,
+    )
+    _, end = schedule_step(lanes, payload, adam_rate=adam_rate)
+    g.rank_end[rank] = end.nid
+    g.observed_step_s[rank] = payload["step_s"]
+
+
 def add_fleet_end(g: StepGraph) -> None:
     """Close the graph with the fleet end milestone (max over rank ends)."""
     end = g.add(
@@ -386,8 +454,6 @@ def build_step_graph(
     step time exactly; the coupled default reconstructs the true fleet
     timeline instead.
     """
-    from repro.perfscope.runtime_replay import replay_runtime
-
     g = StepGraph(step)
     for rank in sorted(tracers):
         source = extract_sources(tracers[rank], step)
@@ -396,8 +462,7 @@ def build_step_graph(
         g.sources[rank] = source
         g.step_start_s[rank] = _step_spans(tracers[rank])[step].start_s
         if source[0] == "runtime":
-            _, kind, payload, _dur = source
-            replay_runtime(g, rank, kind, payload)
+            add_runtime_rank(g, rank, source[1])
         else:
             _, entries, duration = source
             _add_main_rank(g, rank, entries, duration)

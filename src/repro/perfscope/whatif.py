@@ -1,7 +1,7 @@
 """What-if probes: re-price a step graph and re-schedule from dependencies.
 
 A ``StepGraph`` retains its build sources (the main-track entry list per
-serialized rank, the runtime capture per offload/infinity rank), so a
+serialized rank, the runtime capture per offload-tier rank), so a
 counterfactual is cheap: rebuild the same dependency structure with
 altered edge prices and schedule purely from dependencies — no observed
 floors, no re-simulation. Probes answer questions like *"if collectives
@@ -18,8 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.ledger import CommEvent
-from repro.perfscope.graph import XFER_LINK, StepGraph, _add_main_rank, couple_ranks
-from repro.perfscope.runtime_replay import replay_runtime
+from repro.perfscope.graph import (
+    XFER_LINK,
+    StepGraph,
+    _add_main_rank,
+    add_runtime_rank,
+    couple_ranks,
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ def reprice(
     transfers keep their cost); ``cost_model`` re-prices them through a
     different ``CommCostModel``; ``pcie``/``nvme`` (``InterconnectSpec``)
     re-band the tier links everywhere they appear (main-track copies and
-    the runtime replay's lanes); ``adam_rate`` overrides the CPU Adam
+    the engine scheduler's lanes); ``adam_rate`` overrides the CPU Adam
     throughput. With no overrides this returns the pure re-scheduled
     baseline.
     """
@@ -93,9 +98,8 @@ def reprice(
     for rank, source in sorted(g.sources.items()):
         ng.sources[rank] = source
         if source[0] == "runtime":
-            _, kind, payload, _dur = source
-            replay_runtime(
-                ng, rank, kind, payload, pcie=pcie, nvme=nvme, adam_rate=adam_rate
+            add_runtime_rank(
+                ng, rank, source[1], pcie=pcie, nvme=nvme, adam_rate=adam_rate
             )
         else:
             _, entries, duration = source

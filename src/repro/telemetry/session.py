@@ -49,8 +49,8 @@ class TelemetrySession:
         #: byte-identical to a health-free session.
         self.health = health
         #: Perfscope recording switch: when True every tracer records its
-        #: priced comm events as clock intervals plus the offload/infinity
-        #: runtime captures, enabling ``perfscope_analysis``. False (the
+        #: priced comm events as clock intervals plus the offload tier's
+        #: scheduling inputs, enabling ``perfscope_analysis``. False (the
         #: default) keeps tracers byte-identical to a perfscope-free run.
         self.perfscope = perfscope
         if health is not None and getattr(health, "registry", None) is None:

@@ -129,10 +129,10 @@ class Tracer:
         self.record_comm = False
         #: priced comm events as clock intervals (see CommInterval).
         self.comm_intervals: list[CommInterval] = []
-        #: per-step runtime-schedule captures keyed by step index:
-        #: (kind, payload) recorded by OffloadRuntime / InfinityEngine
-        #: trace_step so Perfscope can replay the overlapped schedule.
-        self.runtime_steps: dict[int, tuple[str, dict]] = {}
+        #: per-step scheduling inputs keyed by step index, recorded by
+        #: ``InfinityEngine.trace_step`` so Perfscope can re-run the
+        #: engine's overlapped schedule as a graph.
+        self.runtime_steps: dict[int, dict] = {}
         self._stack: list[Span] = []
         self._comm_nominal_bytes = 0.0
         self._comm_by_phase: dict[str, float] = {}
@@ -254,14 +254,14 @@ class Tracer:
                 return len(self.step_durations)
         return None
 
-    def record_runtime_step(self, kind: str, payload: dict) -> None:
-        """Stash one boundary's runtime-schedule capture for Perfscope
-        (no-op unless recording is on)."""
+    def record_runtime_step(self, payload: dict) -> None:
+        """Stash one boundary's scheduling inputs for Perfscope (no-op
+        unless recording is on)."""
         if not self.record_comm:
             return
         step = self.current_step_index()
         if step is not None:
-            self.runtime_steps[step] = (kind, payload)
+            self.runtime_steps[step] = payload
 
     def on_comm_event(self, event) -> None:
         """Price one recorded ``CommEvent`` into clock time + counters."""

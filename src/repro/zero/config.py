@@ -27,6 +27,8 @@ class ZeROConfig:
     # K Psi / Nd term from device memory), optionally with the gradient
     # shard host-resident too (drops 2 Psi / Nd more, streamed over PCIe
     # during backward) and the one-step delayed parameter update schedule.
+    # The factory compiles these flags to the host-only InfinityConfig
+    # (os@host, g@host|device, p@device).
     offload_optimizer: bool = False
     offload_gradients: bool = False
     delayed_param_update: bool = False

@@ -57,20 +57,20 @@ def build_engine(
     config = engine_config or EngineConfig()
     if zero.constant_buffers and config.fused_buffer_numel is None:
         config = replace(config, fused_buffer_numel=zero.constant_buffer_numel)
-    if zero.offload_optimizer and config.offload is None:
-        from repro.offload.engine import OffloadConfig
+    if config.infinity is None:
+        placement = zero.infinity
+        if zero.offload_optimizer:
+            # ZeRO-Offload is ZeRO-Infinity's host-only placement.
+            from repro.infinity.config import InfinityConfig
 
-        config = replace(
-            config,
-            offload=OffloadConfig(
-                offload_optimizer=True,
-                offload_gradients=zero.offload_gradients,
+            placement = InfinityConfig(
+                optimizer_tier="host",
+                grad_tier="host" if zero.offload_gradients else "device",
+                param_tier="device",
                 delayed_param_update=zero.delayed_param_update,
-                checkpointing=zero.checkpoint_activations,
-            ),
-        )
-    if zero.infinity is not None and config.infinity is None:
-        config = replace(config, infinity=zero.infinity)
+            )
+        if placement is not None:
+            config = replace(config, infinity=placement)
     if zero.audit_cadence and config.integrity is None:
         from repro.integrity import IntegrityConfig
 

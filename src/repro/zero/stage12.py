@@ -65,15 +65,11 @@ class _ZeroDPBase(BaseEngine):
         # offload_optimizer the same partition lives in host DRAM instead
         # (ZeRO-Offload), dropping the K Psi / Nd term from the device;
         # ZeRO-Infinity may push it one tier further, to the NVMe pool.
-        off = self.config.offload
-        inf = self.config.infinity
-        self._host_adam = (off is not None and off.offload_optimizer) or (
-            inf is not None and inf.offload_optimizer
-        )
+        inf = self.infinity
+        self._host_adam = inf is not None and inf.config.offload_optimizer
         if self._host_adam:
-            opt_pool = self.infinity.optimizer_pool if inf is not None else ctx.host
             self.opt_state = HostAdamState(
-                self.part_numel, host=opt_pool, hp=self.config.adam,
+                self.part_numel, host=inf.optimizer_pool, hp=self.config.adam,
                 meta=self.is_meta, tag=f"{self.name}-adam",
             )
         else:
@@ -91,15 +87,11 @@ class _ZeroDPBase(BaseEngine):
         # does — no extra buffer. Under offload_gradients the shard is
         # host-resident: each reduced piece streams d2h during backward.
         self.grad_shard: Tensor | HostTensor | None = None
-        offload_grads = (off is not None and off.offload_gradients) or (
-            inf is not None and inf.offload_gradients
-        )
         if self.free_grads_after_reduce:
             with memprof_category("grad_fp16", site=f"{self.name}-grad-shard"):
-                if offload_grads:
-                    grad_pool = self.infinity.grad_pool if inf is not None else ctx.host
+                if inf is not None and inf.config.offload_gradients:
                     self.grad_shard = HostTensor(
-                        self.part_numel, np.dtype(self.model.dtype), grad_pool,
+                        self.part_numel, np.dtype(self.model.dtype), inf.grad_pool,
                         meta=self.is_meta, tag=f"{self.name}-grad-shard",
                     )
                 else:
@@ -183,14 +175,14 @@ class _ZeroDPBase(BaseEngine):
                     cursor += hi - lo
             fused.free()
         if (
-            self.offload is not None
-            and self.offload.config.offload_gradients
+            self.infinity is not None
+            and self.infinity.config.offload_gradients
             and self.my_index in by_owner
         ):
             # The piece this rank owns just landed in the host shard: one
             # streamed d2h transfer, overlapped with the rest of backward.
             mine = sum(hi - lo for lo, hi in by_owner[self.my_index])
-            self.offload.queue_grad_d2h(mine * dtype.itemsize)
+            self.infinity.queue_grad_d2h(mine * dtype.itemsize)
         if self.free_grads_after_reduce:
             for p in bucket:
                 p.zero_grad()
@@ -258,8 +250,8 @@ class _ZeroDPBase(BaseEngine):
         hp = self.current_adam_hp
         # DPU (ZeRO-Offload): broadcast fp16(master *before* this update) —
         # the update lands one step late, overlapped with the next step's
-        # compute. See repro.offload.engine for the staleness contract.
-        dpu = self.offload is not None and self.offload.config.delayed_param_update
+        # compute. See repro.infinity.config for the staleness contract.
+        dpu = self.infinity is not None and self.infinity.config.delayed_param_update
         stale16 = to_dtype(self.opt_state.master.data, self.model.dtype) if dpu else None
 
         def update(lo: int, hi: int) -> None:
@@ -321,7 +313,7 @@ class _ZeroDPBase(BaseEngine):
         holds the stale values and is already in the integrity set.)
         """
         shards = super().redundancy_shards()
-        dpu = self.offload is not None and self.offload.config.delayed_param_update
+        dpu = self.infinity is not None and self.infinity.config.delayed_param_update
         if dpu and not self.is_meta:
             shards["param16"] = self.layout.gather_param_range(
                 self.part_lo, self.part_hi, np.dtype(self.model.dtype)

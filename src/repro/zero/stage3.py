@@ -68,16 +68,12 @@ class ZeroStage3Engine(BaseEngine):
         # gradient shard) lives in host DRAM instead of on the device.
         # ZeRO-Infinity generalizes the placement to per-state-class tiers
         # (host or NVMe pools), including the fp16 parameter shard itself.
-        off = self.config.offload
-        inf = self.config.infinity
-        self._page_params = inf is not None and inf.page_params
-        self._host_adam = (off is not None and off.offload_optimizer) or (
-            inf is not None and inf.offload_optimizer
-        )
+        inf = self.infinity
+        self._page_params = inf is not None and inf.config.page_params
+        self._host_adam = inf is not None and inf.config.offload_optimizer
         if self._host_adam:
-            opt_pool = self.infinity.optimizer_pool if inf is not None else ctx.host
             self.opt_state = HostAdamState(
-                self.part_numel, host=opt_pool, hp=self.config.adam,
+                self.part_numel, host=inf.optimizer_pool, hp=self.config.adam,
                 meta=self.is_meta, tag="zero3-adam",
             )
         else:
@@ -94,7 +90,7 @@ class ZeroStage3Engine(BaseEngine):
             if self._page_params:
                 self.param_shard: Tensor | HostTensor = HostTensor(
                     self.part_numel, np.dtype(self.model.dtype),
-                    self.infinity.param_pool, data=shard_data,
+                    inf.param_pool, data=shard_data,
                     meta=self.is_meta, tag="zero3-param-shard",
                 )
             else:
@@ -104,14 +100,10 @@ class ZeroStage3Engine(BaseEngine):
                 )
         # ...and fp16 gradient shard (2 Psi / Nd), host-resident under
         # offload_gradients (each unit's reduced piece streams d2h).
-        offload_grads = (off is not None and off.offload_gradients) or (
-            inf is not None and inf.offload_gradients
-        )
         with memprof_category("grad_fp16", site="zero3-grad-shard"):
-            if offload_grads:
-                grad_pool = self.infinity.grad_pool if inf is not None else ctx.host
+            if inf is not None and inf.config.offload_gradients:
                 self.grad_shard: Tensor | HostTensor = HostTensor(
-                    self.part_numel, np.dtype(self.model.dtype), grad_pool,
+                    self.part_numel, np.dtype(self.model.dtype), inf.grad_pool,
                     meta=self.is_meta, tag="zero3-grad-shard",
                 )
             else:
@@ -300,14 +292,14 @@ class ZeroStage3Engine(BaseEngine):
                     cursor += hi - lo
             fused.free()
         if (
-            self.offload is not None
-            and self.offload.config.offload_gradients
+            self.infinity is not None
+            and self.infinity.config.offload_gradients
             and self.my_index in by_owner
         ):
             # This unit's owned piece just landed in the host shard: one
             # streamed d2h transfer, overlapped with later units' backward.
             mine = sum(hi - lo for lo, hi in by_owner[self.my_index])
-            self.offload.queue_grad_d2h(mine * dtype.itemsize)
+            self.infinity.queue_grad_d2h(mine * dtype.itemsize)
         for p in params:
             p.zero_grad()
 
@@ -353,8 +345,8 @@ class ZeroStage3Engine(BaseEngine):
         hp = self.current_adam_hp
         # DPU (ZeRO-Offload): refresh the fp16 shard from master *before*
         # this update — the update lands one step late, overlapped with the
-        # next step's compute (staleness contract in repro.offload.engine).
-        dpu = self.offload is not None and self.offload.config.delayed_param_update
+        # next step's compute (staleness contract in repro.infinity.config).
+        dpu = self.infinity is not None and self.infinity.config.delayed_param_update
         if dpu:
             self.param_shard.data = to_dtype(self.opt_state.master.data, self.model.dtype)
 

@@ -1,6 +1,7 @@
 """Documentation and example guards: the README snippet must run, the
 fast examples must execute cleanly end to end."""
 
+import importlib
 import pathlib
 import re
 import subprocess
@@ -29,6 +30,40 @@ class TestReadmeSnippet:
             "DESIGN.md", "repro.experiments.report",
         ):
             assert needle in readme, needle
+
+
+def _resolve(dotted: str):
+    """Import the longest importable prefix of ``dotted``, then walk the
+    rest as attributes (raises if any piece is missing)."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+class TestDocNamesResolve:
+    def test_backticked_repro_names_resolve(self):
+        """Every ``repro.…`` dotted name inside backticks in the README and
+        the architecture doc must import or resolve as an attribute, so a
+        doc naming a deleted module or class fails here."""
+        names = set()
+        for doc in ("README.md", "docs/ARCHITECTURE.md"):
+            for span in re.findall(r"`([^`\n]+)`", (ROOT / doc).read_text()):
+                names.update(re.findall(r"\brepro(?:\.\w+)+", span))
+        assert len(names) >= 29
+        missing = []
+        for name in sorted(names):
+            try:
+                _resolve(name)
+            except (ImportError, AttributeError):
+                missing.append(name)
+        assert not missing, f"docs name unresolvable objects: {missing}"
 
 
 class TestDesignDocs:

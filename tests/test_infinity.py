@@ -22,7 +22,6 @@ from repro.hardware.specs import GPUSpec, InterconnectSpec
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.tiers import Tier, TierStream, TierTopology, wire_seconds
 from repro.infinity.tiling import TilePlan, plan_unit_tiles
-from repro.offload.engine import OffloadConfig
 from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
@@ -321,18 +320,6 @@ def test_zero_config_gates_infinity_by_stage():
         stage=3, infinity=InfinityConfig(param_tier="nvme")
     ).label
     assert "inf[" in label
-
-
-def test_engine_rejects_offload_plus_infinity():
-    ctx = virtual_rank_context(2, gpu=GPU)
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        build_model_and_engine(
-            ctx, CFG, ZeROConfig(stage=2), dp_group=ctx.world, meta=True,
-            engine_config=EngineConfig(
-                offload=OffloadConfig(),
-                infinity=InfinityConfig(grad_tier="device"),
-            ),
-        )
 
 
 def test_unpartitioned_engine_rejects_infinity():

@@ -1,11 +1,13 @@
 """ZeRO-Offload: placement moves, the math does not.
 
-The offload engine's core contract mirrors the ZeRO-DP one: parking the
+The offload tier's core contract mirrors the ZeRO-DP one: parking the
 fp32 optimizer state (and optionally the gradient shard) in host DRAM
 must leave the training trajectory bitwise identical to the all-device
 engines, at every stage. Delayed parameter update is the single
 deliberate numerical change and is pinned by an explicit staleness
-contract rather than a tolerance. Around that core: byte accounting on
+contract rather than a tolerance. ``ZeROConfig``'s offload flags compile
+to the host-only ``InfinityConfig``; the compile step is pinned bitwise
+against the explicit placement. Around that core: byte accounting on
 both memory pools, the PCIe stream's two-lane timeline, checkpoint
 round-trips that are placement-independent, composition with fault
 injection / elastic recovery, and the closed-form step-time cost model.
@@ -18,12 +20,11 @@ from repro import Cluster, FaultPlan, GPTConfig, Supervisor, ZeROConfig
 from repro.comm.ledger import CommLedger
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec, InterconnectSpec
+from repro.infinity import InfinityConfig, InfinityCostModel, TierStream
 from repro.memsim.device import HostMemory
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
-from repro.offload.cost_model import OffloadCostModel, relative_error
-from repro.offload.engine import OffloadConfig
+from repro.offload.cost_model import relative_error
 from repro.offload.host_optim import HostAdamState, HostTensor, cpu_adam_seconds
-from repro.offload.streams import PCIeStream
 from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
@@ -111,6 +112,83 @@ def test_offload_places_state_on_host_and_reports_step_time(all_device_baseline)
         assert all(t > 0.0 for t in off[rank][4])  # PCIe/Adam timeline ran
 
 
+# -- the compile step: offload flags == host-only InfinityConfig ------------
+
+
+def _host_only(off_grads, dpu):
+    return InfinityConfig(
+        optimizer_tier="host", grad_tier="host" if off_grads else "device",
+        param_tier="device", delayed_param_update=dpu,
+    )
+
+
+def _trace_run(stage, zero_kw, *, steps=STEPS):
+    """Per-rank (losses, modeled step times, ledger (op, bytes) multiset)."""
+    cluster = Cluster(2, gpu=GPU, timeout_s=60.0)
+
+    def fn(ctx):
+        zero = ZeROConfig(stage=stage, memory_defrag=False, **zero_kw)
+        model, engine = build_model_and_engine(
+            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
+            engine_config=EngineConfig(adam=AdamHyperparams(lr=1e-3)),
+        )
+        losses, times = [], []
+        for step in range(steps):
+            ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step)
+            result = engine.train_step(ids, tgt)
+            losses.append(result.loss)
+            times.append(result.step_time_model_s)
+        ledger = sorted((e.op, e.message_bytes) for e in ctx.ledger.events)
+        return losses, times, ledger
+
+    return cluster.run(fn)
+
+
+@pytest.mark.parametrize("stage, off_grads, dpu", [
+    (stage, off_grads, dpu)
+    for stage in (1, 2, 3)
+    for off_grads in ((False,) if stage == 1 else (False, True))
+    for dpu in (False, True)
+])
+def test_offload_flags_compile_to_host_only_infinity(stage, off_grads, dpu):
+    """The ZeROConfig offload flags and the explicit host-only placement
+    are the same run: losses, modeled step times and ledger traffic agree
+    bitwise."""
+    flags = _trace_run(stage, dict(
+        offload_optimizer=True, offload_gradients=off_grads,
+        delayed_param_update=dpu,
+    ))
+    explicit = _trace_run(stage, dict(infinity=_host_only(off_grads, dpu)))
+    assert flags == explicit
+    assert all(t > 0.0 for rank in flags for t in rank[1])
+
+
+@pytest.mark.parametrize("case", ["no-recompute", "mp2"])
+def test_offload_tier_prices_compute_like_the_model(case):
+    """The tier's compute window is the engine's own (checkpointing- and
+    MP-aware) compute split, not a recompute-priced full replica."""
+    cluster = Cluster(2, gpu=GPU, timeout_s=60.0)
+
+    def fn(ctx):
+        if case == "no-recompute":
+            zero = ZeROConfig(stage=2, checkpoint_activations=False, infinity=InfinityConfig(
+                optimizer_tier="host", grad_tier="device",
+            ))
+            groups = dict(dp_group=ctx.world)
+        else:
+            zero = ZeROConfig(stage=2, offload_optimizer=True)
+            groups = dict(dp_group=ctx.group([ctx.rank]), mp_group=ctx.world)
+        model, engine = build_model_and_engine(
+            ctx, CFG, zero, dtype=np.float32, seed=3, **groups,
+        )
+        ids, tgt = CORPUS.sample_batch(2, 16, rank=0, step=0)
+        engine.train_step(ids, tgt)
+        return engine.infinity.reports[-1].compute_s, sum(engine._compute_split(2, 16))
+
+    for compute_s, expected in cluster.run(fn):
+        assert compute_s == expected
+
+
 # -- delayed parameter update: the staleness contract ------------------------
 
 
@@ -161,8 +239,12 @@ def test_dpu_staleness_contract(stage):
 LINK = InterconnectSpec(name="test-link", bandwidth_bytes_per_s=100.0, latency_s=1.0)
 
 
+def pcie_stream(**kw):
+    return TierStream(LINK, directions=("d2h", "h2d"), **kw)
+
+
 def test_stream_serializes_per_lane_and_is_full_duplex():
-    st = PCIeStream(LINK)
+    st = pcie_stream()
     a = st.copy_async(100, "d2h", submit_t=0.0)  # wire: 1s latency + 1s bytes
     b = st.copy_async(100, "d2h", submit_t=0.5)  # queues behind a
     c = st.copy_async(100, "h2d", submit_t=0.0)  # opposite lane: no contention
@@ -180,16 +262,16 @@ def test_stream_serializes_per_lane_and_is_full_duplex():
 
 def test_stream_records_traffic_in_comm_ledger():
     ledger = CommLedger(rank=0)
-    st = PCIeStream(LINK, ledger=ledger, rank=0)
-    st.copy_async(64, "d2h", phase="offload-grad")
-    st.copy_async(32, "h2d", phase="offload-param")
+    st = pcie_stream(ledger=ledger, rank=0)
+    st.copy_async(64, "d2h", phase="infinity-grad")
+    st.copy_async(32, "h2d", phase="infinity-refresh")
     st.copy_async(0, "d2h")  # zero-byte copies leave no ledger trace
     assert ledger.by_op() == {"d2h": 64.0, "h2d": 32.0}
-    assert ledger.by_phase() == {"offload-grad": 64.0, "offload-param": 32.0}
+    assert ledger.by_phase() == {"infinity-grad": 64.0, "infinity-refresh": 32.0}
 
 
 def test_stream_rejects_bad_copies():
-    st = PCIeStream(LINK)
+    st = pcie_stream()
     with pytest.raises(ValueError):
         st.copy_async(10, "sideways")
     with pytest.raises(ValueError):
@@ -289,20 +371,23 @@ def test_zero_config_rejects_invalid_offload_combinations():
 
 
 def test_offload_config_rejects_invalid_combinations():
+    """The host-only placement keeps ZeRO-Offload's flag rules."""
+    with pytest.raises(ValueError):  # gradients off-device, optimizer on it
+        InfinityConfig(optimizer_tier="device", grad_tier="host")
+    with pytest.raises(ValueError):  # DPU needs an off-device optimizer
+        InfinityConfig(optimizer_tier="device", grad_tier="device",
+                       delayed_param_update=True)
     with pytest.raises(ValueError):
-        OffloadConfig(offload_optimizer=False, offload_gradients=True)
-    with pytest.raises(ValueError):
-        OffloadConfig(offload_optimizer=False, delayed_param_update=True)
-    with pytest.raises(ValueError):
-        OffloadConfig(cpu_adam_elements_per_s=0.0)
+        InfinityConfig(optimizer_tier="host", grad_tier="device",
+                       cpu_adam_elements_per_s=0.0)
 
 
 def test_unpartitioned_engine_rejects_offload():
     ctx = virtual_rank_context(1, gpu=GPU)
-    with pytest.raises(ValueError, match="does not support offload"):
+    with pytest.raises(ValueError, match="does not support off-device optimizer"):
         build_model_and_engine(
             ctx, CFG, ZeROConfig(stage=0), dp_group=ctx.world, meta=True,
-            engine_config=EngineConfig(offload=OffloadConfig()),
+            engine_config=EngineConfig(infinity=_host_only(False, False)),
         )
 
 
@@ -421,12 +506,17 @@ def test_cpu_adam_seconds_model():
 
 
 def test_cost_model_prediction_shape():
-    model = OffloadCostModel(CFG, gpu=GPU)
-    pred = model.predict_step(batch=2, seq_len=16, nd=2, offload_gradients=True)
+    model = InfinityCostModel(CFG, gpu=GPU, infinity=_host_only(True, False))
+    pred = model.predict_step(batch=2, seq_len=16, nd=2)
     assert pred.step_s >= pred.compute_s > 0.0
     assert pred.grads_ready_s >= pred.compute_s - pred.cpu_adam_s
     assert 0.0 < pred.overlap_efficiency <= 1.0
     assert relative_error(1.0, 2.0) == pytest.approx(0.5)
+    # The old per-call placement kwargs are an error, not silently dropped.
+    with pytest.raises(TypeError):
+        model.predict_step(batch=2, seq_len=16, nd=2, offload_gradients=True)
+    with pytest.raises(TypeError):
+        model.predict_step(batch=2, seq_len=16, nd=2, delayed_param_update=True)
 
 
 def test_cost_model_tracks_simulated_timeline():
