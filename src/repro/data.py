@@ -37,6 +37,10 @@ class SyntheticCorpus:
         ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
         self.unigram = ranks**-zipf_a
         self.unigram /= self.unigram.sum()
+        # The CDF ``Generator.choice(p=unigram)`` rebuilds on every call;
+        # searching it with the same uniforms gives the same tokens.
+        self._unigram_cdf = np.cumsum(self.unigram)
+        self._unigram_cdf /= self._unigram_cdf[-1]
         # Each token deterministically prefers a few successor tokens.
         self.successors = rng.integers(0, vocab_size, size=(vocab_size, markov_fanout))
 
@@ -50,11 +54,16 @@ class SyntheticCorpus:
         """
         rng = rng_for(self.seed, "batch", rank, step)
         tokens = np.empty((batch, seq_len + 1), dtype=np.int64)
-        tokens[:, 0] = rng.choice(self.vocab_size, size=batch, p=self.unigram)
+        tokens[:, 0] = self._draw_unigram(rng, batch)
         fanout = self.successors.shape[1]
         for t in range(1, seq_len + 1):
             use_markov = rng.random(batch) < self.markov_weight
             succ_pick = self.successors[tokens[:, t - 1], rng.integers(0, fanout, size=batch)]
-            fresh = rng.choice(self.vocab_size, size=batch, p=self.unigram)
+            fresh = self._draw_unigram(rng, batch)
             tokens[:, t] = np.where(use_markov, succ_pick, fresh)
         return tokens[:, :-1].copy(), tokens[:, 1:].copy()
+
+    def _draw_unigram(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``rng.choice(vocab_size, size=n, p=unigram)``: the same tokens and
+        the same generator state afterwards, without its per-call checks."""
+        return self._unigram_cdf.searchsorted(rng.random(n), side="right")

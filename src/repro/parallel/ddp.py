@@ -19,7 +19,7 @@ from repro.nn.transformer import GPT2Model
 from repro.optim.adam import adam_step_inplace
 from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
-from repro.parallel.engine import BaseEngine, EngineConfig
+from repro.parallel.engine import BaseEngine, EngineConfig, sum_squares
 from repro.runtime import RankContext
 from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
@@ -124,15 +124,16 @@ class DDPEngine(BaseEngine):
             return True
         denom = self.grad_divisor  # unscale + average over ranks x micro-steps
         overflow = False
-        norm_sq = 0.0
+        reads_norm = self.reads_grad_norm
+        norm_sq = 0.0 if reads_norm else None
 
         def check(lo: int, hi: int) -> None:
             nonlocal overflow, norm_sq
             piece = self.layout.gather_grad_range(lo, hi, np.float32)
             if LossScaler.has_overflow(piece):
                 overflow = True
-            piece64 = piece.astype(np.float64) / denom
-            norm_sq += float(np.dot(piece64, piece64))
+            if reads_norm:
+                norm_sq += sum_squares(piece.astype(np.float64) / denom)
 
         self.with_fused_buffer(numel, check)
         if not self.scaler.update(overflow):

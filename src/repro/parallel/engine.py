@@ -27,6 +27,16 @@ from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
 
 
+def sum_squares(x64: np.ndarray) -> float:
+    """Sum of squares of a float64 array, squared in place.
+
+    numpy's pairwise sum adds in an order fixed by the length alone, so the
+    result does not depend on the BLAS thread count (``np.dot``'s ddot
+    splits long vectors across threads and adds the partial sums).
+    """
+    return float(np.square(x64, out=x64).sum())
+
+
 @dataclass
 class EngineConfig:
     """Knobs shared by all engines."""
@@ -404,13 +414,20 @@ class BaseEngine:
                         "sdc_injections", rank=self.ctx.rank, kind="scribble"
                     ).add(1)
 
-    def _clip_factor(self, local_norm_sq: float, *, partitioned: bool) -> float:
+    @property
+    def reads_grad_norm(self) -> bool:
+        """Whether a step's gradient norm^2 is read: by clipping or by the
+        integrity grad-norm sentinel. Engines skip computing it otherwise."""
+        return self.config.grad_clip_norm is not None or self.integrity is not None
+
+    def _clip_factor(self, local_norm_sq: float | None, *, partitioned: bool) -> float:
         """Global-norm clip factor for this step (1.0 when clipping is off).
 
         ``partitioned`` engines contribute a partition's norm^2 and sum it
         across the DP group (a tiny control message, excluded from volume
         accounting); replicated-gradient engines already hold the global
-        norm locally.
+        norm locally. ``local_norm_sq`` may be None when
+        ``reads_grad_norm`` is False.
         """
         if self.integrity is not None:
             # Every engine routes its (applied-step) gradient norm^2

@@ -15,6 +15,7 @@ fp16-subnormal values, which unscaled fp16 gradients are full of.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -203,12 +204,53 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
 # -- GELU (tanh approximation, as in GPT-2) -----------------------------------
 
 
+def _gelu32(x32: np.ndarray) -> np.ndarray:
+    """GELU in ``x32``'s own (fp32 or wider) dtype: the one definition."""
+    inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
+    return 0.5 * x32 * (1.0 + np.tanh(inner))
+
+
+def _gelu_grad32(x32: np.ndarray) -> np.ndarray:
+    """d GELU / dx in ``x32``'s own (fp32 or wider) dtype."""
+    inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
+    tanh_inner = np.tanh(inner)
+    sech2 = 1.0 - tanh_inner**2
+    dinner = SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x32**2)
+    return 0.5 * (1.0 + tanh_inner) + 0.5 * x32 * sech2 * dinner
+
+
+@functools.cache
+def _gelu_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(fp16 bits -> fp16 GELU bits, fp16 bits -> fp32 GELU') for all 2**16
+    fp16 inputs: 128 KB + 256 KB, built on the first fp16 call.
+
+    Each entry is ``_gelu32``/``_gelu_grad32`` of that one value, so a
+    lookup is bitwise the expression for every non-NaN input. A NaN's
+    payload out of the expression depends on where it sits in the array;
+    both tables store the quieted input NaN (``bits | 0x200``) instead.
+    """
+    bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+    quiet_nan = np.isnan(bits.view(np.float16))
+    bits[quiet_nan] |= 0x200
+    x32 = to_dtype(bits.view(np.float16), np.float32)
+    with np.errstate(all="ignore"):  # inf inputs give inf * 0 in the grad
+        fwd = to_dtype(_gelu32(x32), np.float16).view(np.uint16)
+        grad = _gelu_grad32(x32)
+    fwd[quiet_nan] = bits[quiet_nan]
+    grad[quiet_nan] = x32[quiet_nan]
+    fwd.flags.writeable = grad.flags.writeable = False  # shared by every caller
+    return fwd, grad
+
+
 def gelu(x: Tensor, tag: str = "gelu") -> Tensor:
+    """fp16 inputs read their result from a table (see ``_gelu_tables``)."""
     if x.is_meta:
         return _result(x, None, x.shape, x.dtype, tag)
-    x32 = to_dtype(x.data, _compute_dtype(x.dtype))
-    inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
-    data = to_dtype(0.5 * x32 * (1.0 + np.tanh(inner)), x.dtype)
+    if x.dtype == np.float16:
+        fwd = _gelu_tables()[0]
+        data = np.take(fwd, x.data.view(np.uint16), mode="wrap").view(np.float16)
+    else:
+        data = to_dtype(_gelu32(to_dtype(x.data, _compute_dtype(x.dtype))), x.dtype)
     return _result(x, data, x.shape, x.dtype, tag)
 
 
@@ -216,13 +258,13 @@ def gelu_grad(x: Tensor, dy: Tensor, tag: str = "gelu_grad") -> Tensor:
     if _any_meta(x, dy):
         return _result(x, None, x.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
-    x32 = to_dtype(x.data, ct)
-    inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
-    tanh_inner = np.tanh(inner)
-    sech2 = 1.0 - tanh_inner**2
-    dinner = SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x32**2)
-    grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x32 * sech2 * dinner
-    data = to_dtype(to_dtype(dy.data, ct) * grad, dy.dtype)
+    if x.dtype == np.float16 and ct == np.float32:
+        grad = np.take(_gelu_tables()[1], x.data.view(np.uint16), mode="wrap")
+    else:
+        grad = _gelu_grad32(to_dtype(x.data, ct))
+    dy32 = to_dtype(dy.data, ct)
+    dy32 *= grad
+    data = to_dtype(dy32, dy.dtype)
     return _result(x, data, x.shape, dy.dtype, tag)
 
 

@@ -13,8 +13,10 @@ OpenBLAS is reached through ``ctypes`` as the
 numpy's wheel bundles. If they are missing, the cap does nothing.
 
 The thread count leaves GEMM results unchanged (OpenBLAS splits them over
-output rows and columns), but ddot splits long vectors across threads, so
-the engines' ``np.dot`` gradient norm can differ in its last bits.
+output rows and columns). ddot splits long vectors across threads, so the
+engines compute their gradient norm without BLAS
+(``repro.parallel.engine.sum_squares``), and it does not depend on the
+thread count either.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from repro.offload.host_optim import HostAdamState, HostTensor
 from repro.optim.adam import adam_step_inplace
 from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
-from repro.parallel.engine import BaseEngine, EngineConfig
+from repro.parallel.engine import BaseEngine, EngineConfig, sum_squares
 from repro.runtime import RankContext
 from repro.tensor.halfcast import to_dtype
 from repro.tensor.tensor import Tensor
@@ -337,8 +337,8 @@ class ZeroStage3Engine(BaseEngine):
         overflow = self._global_overflow(LossScaler.has_overflow(grad32))
         if not self.scaler.update(overflow):
             return False
-        grad64 = grad32.astype(np.float64)
-        clip_factor = self._clip_factor(float(np.dot(grad64, grad64)), partitioned=True)
+        norm_sq = sum_squares(grad32.astype(np.float64)) if self.reads_grad_norm else None
+        clip_factor = self._clip_factor(norm_sq, partitioned=True)
         if clip_factor != 1.0:
             grad32 *= np.float32(clip_factor)
         self.opt_state.step_count += 1

@@ -67,6 +67,20 @@ class TestSyntheticCorpus:
         with pytest.raises(ValueError):
             SyntheticCorpus(10, markov_weight=1.5)
 
+    @pytest.mark.parametrize("vocab", [61, 128, 1024])
+    def test_unigram_draw_is_generator_choice(self, vocab):
+        """The cached-CDF draw gives ``rng.choice``'s tokens and leaves the
+        generator where ``rng.choice`` leaves it."""
+        c = SyntheticCorpus(vocab, seed=5)
+        for seed in range(50):
+            for n in (1, 2, 7, 64):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = c._draw_unigram(ours, n)
+                want = ref.choice(vocab, size=n, p=c.unigram)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                assert ours.random() == ref.random()
+
 
 class TestVocabParallelLoss:
     def test_matches_serial_loss_and_grads(self):

@@ -9,7 +9,8 @@ from repro import Cluster, GPTConfig, ZeROConfig
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.optim.adam import AdamHyperparams
-from repro.parallel.engine import EngineConfig
+from repro.parallel.engine import BaseEngine, EngineConfig
+from repro.utils import blas
 from repro.zero.factory import build_model_and_engine
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
@@ -18,13 +19,13 @@ CORPUS = SyntheticCorpus(61, seed=7)
 WORLD = 4
 
 
-def run(stage, clip, steps=3):
-    cluster = Cluster(WORLD, gpu=GPU, timeout_s=60.0)
+def run(stage, clip, steps=3, cfg=CFG, world=WORLD):
+    cluster = Cluster(world, gpu=GPU, timeout_s=60.0)
 
     def fn(ctx):
         zero = ZeROConfig(stage=stage, checkpoint_activations=False, memory_defrag=False)
         model, engine = build_model_and_engine(
-            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
+            ctx, cfg, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
             engine_config=EngineConfig(
                 adam=AdamHyperparams(lr=1e-3), bucket_numel=2000, grad_clip_norm=clip,
             ),
@@ -86,3 +87,30 @@ def test_clip_actually_bounds_update_norm():
 def test_invalid_clip_rejected():
     with pytest.raises(ValueError, match="positive"):
         run(0, clip=-1.0, steps=1)
+
+
+@pytest.mark.skipif(blas._load_openblas() is None, reason="numpy's OpenBLAS is not reachable")
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+def test_clipped_training_does_not_depend_on_blas_threads(stage, monkeypatch):
+    """The norm^2 is a fixed-order reduction, not a BLAS ddot (which splits
+    vectors over 10,000 elements across its threads), so the norms and the
+    clipped master weights are bitwise the same at 1 and 2 BLAS threads."""
+    cfg = GPTConfig(n_layers=2, hidden=64, n_heads=4, vocab_size=61, max_seq_len=16)
+    world = 2  # ~50k-element gradient partitions
+    clip_factor = BaseEngine._clip_factor
+    results = {}
+    for threads in (1, 2):
+        norms = {rank: [] for rank in range(world)}
+
+        def spy(engine, local_norm_sq, *, partitioned):
+            norms[engine.ctx.rank].append(local_norm_sq)
+            return clip_factor(engine, local_norm_sq, partitioned=partitioned)
+
+        monkeypatch.setattr(BaseEngine, "_clip_factor", spy)
+        monkeypatch.setattr(blas, "usable_cores", lambda: threads * world)
+        out = run(stage, clip=0.05, cfg=cfg, world=world)
+        results[threads] = norms, [master for _, master in out]
+    (norms1, masters1), (norms2, masters2) = results[1], results[2]
+    assert norms1 == norms2 and len(norms1[0]) == 3
+    for m1, m2 in zip(masters1, masters2):
+        assert m1.tobytes() == m2.tobytes()
